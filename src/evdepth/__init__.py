@@ -7,13 +7,13 @@ the focus of the warped-event image, is the depth estimate there.
 from .events import (EVENT_DTYPE, EventWindow, check_stream, form_windows,
                      load_events, make_events, save_events_binary,
                      save_events_text)
-from .motion import (CameraIntrinsics, CameraRig, VelocitySample,
-                     inject_velocity_noise, interpolate_velocity, load_camera,
-                     load_track, motion_field, save_camera, save_track,
-                     warp_events)
-from .iwe import Iwe, IwePyramid, accumulate, build_pyramid
-from .focus import (FocusConfig, FocusWeights, GradientStack, ScoreMap,
-                    fcd_score_map, gradient_stack, objective)
+from .motion import (CameraIntrinsics, CameraRig, EventWarp, VelocitySample,
+                     flow_terms, inject_velocity_noise, interpolate_velocity,
+                     load_camera, load_track, motion_field, save_camera,
+                     save_track)
+from .iwe import Iwe, accumulate, build_pyramid
+from .focus import (FocusConfig, FocusWeights, fcd_score_map, objective,
+                    weighted_gradients)
 from .costvol import (AggregationConfig, CostVolume, DepthMap, HypothesisSet,
                       SweepConfig, SweepResult, build_volume, estimate_depth,
                       extract_depth, fill_depth, inverse_depth_hypotheses,
@@ -28,12 +28,12 @@ __version__ = "0.1.0"
 __all__ = [
     "EVENT_DTYPE", "EventWindow", "check_stream", "form_windows",
     "load_events", "make_events", "save_events_binary", "save_events_text",
-    "CameraIntrinsics", "CameraRig", "VelocitySample", "inject_velocity_noise",
-    "interpolate_velocity", "load_camera", "load_track", "motion_field",
-    "save_camera", "save_track", "warp_events",
-    "Iwe", "IwePyramid", "accumulate", "build_pyramid",
-    "FocusConfig", "FocusWeights", "GradientStack", "ScoreMap",
-    "fcd_score_map", "gradient_stack", "objective",
+    "CameraIntrinsics", "CameraRig", "EventWarp", "VelocitySample",
+    "flow_terms", "inject_velocity_noise", "interpolate_velocity",
+    "load_camera", "load_track", "motion_field", "save_camera", "save_track",
+    "Iwe", "accumulate", "build_pyramid",
+    "FocusConfig", "FocusWeights", "fcd_score_map", "objective",
+    "weighted_gradients",
     "AggregationConfig", "CostVolume", "DepthMap", "HypothesisSet",
     "SweepConfig", "SweepResult", "build_volume", "estimate_depth",
     "extract_depth", "fill_depth", "inverse_depth_hypotheses",

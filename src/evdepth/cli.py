@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .costvol import (AggregationConfig, SweepConfig, estimate_depth,
                       inverse_depth_hypotheses)
-from .events import form_windows, load_events, save_events_binary, save_events_text
+from .events import (check_stream, form_windows, load_events,
+                     save_events_binary, save_events_text)
 from .focus import OBJECTIVE_KINDS, VOLUME_KINDS, FocusConfig, FocusWeights
 from .imgio import read_pfm, write_pfm, write_pgm
 from .metrics import aggregate_reports, evaluate
@@ -199,6 +200,18 @@ def _load_rig(args) -> CameraRig:
                      track=_parse_input(load_track, args.track, "velocity track"))
 
 
+def _load_stream(path, intrinsics):
+    """Load a non-empty event stream that fits the camera's sensor."""
+    events = _parse_input(load_events, path, "event stream")
+    if len(events) == 0:
+        raise ConfigError(f"event stream is empty: {path}")
+    try:
+        check_stream(events, intrinsics.width, intrinsics.height)
+    except ValueError as exc:
+        raise ConfigError(f"event stream {path}: {exc}") from exc
+    return events
+
+
 def cmd_simulate(args) -> int:
     _require(args, "scene", "camera", "track", "out")
     _check_file(args.scene, "scene spec")
@@ -300,9 +313,7 @@ def cmd_depth(args) -> int:
     _check_file(args.events, "event stream")
     hyp, sweep, agg = _pipeline_configs(args)
     rig = _load_rig(args)
-    events = _parse_input(load_events, args.events, "event stream")
-    if len(events) == 0:
-        raise ConfigError(f"event stream is empty: {args.events}")
+    events = _load_stream(args.events, rig.intrinsics)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "depth", args)
 
@@ -399,11 +410,9 @@ def cmd_ablate(args) -> int:
         raise ConfigError("noise levels must be >= 0")
     hyp, sweep, agg = _pipeline_configs(args)
     rig = _load_rig(args)
-    events = _parse_input(load_events, args.events, "event stream")
+    events = _load_stream(args.events, rig.intrinsics)
     truth = _parse_input(read_pfm, args.truth, "ground-truth depth")
     windows = form_windows(events, args.max_count, args.max_interval)
-    if not windows:
-        raise ConfigError("event stream produced no windows")
     args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "ablate", args)
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .events import EventWindow
-from .focus import FocusConfig, box_window_sum, volume_score_map
+from .focus import FocusConfig, box_window_sum, objective, volume_score_map
 from .iwe import accumulate, build_pyramid
-from .motion import CameraIntrinsics, VelocitySample, motion_field
+from .motion import CameraIntrinsics, EventWarp, VelocitySample
 
 DEPTH_SENTINEL = -1.0
 
@@ -143,30 +143,23 @@ class AggregationConfig:
 
 def _sweep_chunk(task):
     """Score a contiguous chunk of hypotheses (runs inside a worker)."""
-    (off, u, v, resolution, intr_args, vel_args, depths, focus_cfg,
-     num_scales, splat) = task
-    intr = CameraIntrinsics(*intr_args)
-    vel = VelocitySample(*vel_args)
-    w, h = resolution
+    window, intrinsics, velocity, depths, config = task
+    warp = EventWarp(window, intrinsics, velocity)
+    w, h = intrinsics.resolution
     m = len(depths)
     scores = None
     support = np.empty((m, h, w), dtype=np.float32)
     discarded = np.empty(m, dtype=np.int64)
     mass = np.empty(m, dtype=np.float64)
-    warped = np.empty((len(u), 2), dtype=np.float64)
     for j, d in enumerate(depths):
-        flow = motion_field(intr, vel, d)
-        per_event = flow[v, u]
-        warped[:, 0] = u + per_event[:, 0] * off
-        warped[:, 1] = v + per_event[:, 1] * off
-        iwe = accumulate(warped, resolution, splat=splat, d=d)
-        pyramid = build_pyramid(iwe, num_scales)
+        iwe = accumulate(warp(d), intrinsics.resolution, splat=config.splat)
+        levels = build_pyramid(iwe.grid, config.num_scales)
         if scores is None:
-            scores = [np.empty((m, *lvl.grid.shape), dtype=np.float64)
-                      for lvl in pyramid.levels]
-        for k, lvl in enumerate(pyramid.levels):
-            scores[k][j] = volume_score_map(lvl.grid, focus_cfg)
-        support[j] = box_window_sum(iwe.grid, focus_cfg.window_radius)
+            scores = [np.empty((m, *grid.shape), dtype=np.float64)
+                      for grid in levels]
+        for k, grid in enumerate(levels):
+            scores[k][j] = volume_score_map(grid, config.focus)
+        support[j] = box_window_sum(iwe.grid, config.focus.window_radius)
         discarded[j] = iwe.discarded
         mass[j] = iwe.mass
     return scores, support, discarded, mass
@@ -199,17 +192,9 @@ def build_volume(window: EventWindow, intrinsics: CameraIntrinsics,
     if min_dim // 2 ** (config.num_scales - 1) < 3:
         raise ValueError(f"{config.num_scales} scales leave the coarsest level "
                          f"below the 3x3 gradient minimum for {min_dim}px")
-    off = window.offsets
-    u = window.events["u"].astype(np.int64)
-    v = window.events["v"].astype(np.int64)
     depths = hypotheses.depths
-    intr_args = (intrinsics.f, intrinsics.cu, intrinsics.cv,
-                 intrinsics.width, intrinsics.height)
-    vel_args = (velocity.t, velocity.linear, velocity.angular)
-
     chunks = np.array_split(depths, min(config.workers, len(depths)))
-    tasks = [(off, u, v, intrinsics.resolution, intr_args, vel_args, chunk,
-              config.focus, config.num_scales, config.splat)
+    tasks = [(window, intrinsics, velocity, chunk, config)
              for chunk in chunks if len(chunk)]
     if config.workers == 1:
         results = [_sweep_chunk(t) for t in tasks]
@@ -230,18 +215,12 @@ def objective_sweep(window: EventWindow, intrinsics: CameraIntrinsics,
                     velocity: VelocitySample, hypotheses: HypothesisSet,
                     focus_cfg: FocusConfig, splat: str = "bilinear") -> np.ndarray:
     """Scalar objective value at every hypothesis (any objective kind)."""
-    from .focus import objective
-
+    warp = EventWarp(window, intrinsics, velocity)
     off = window.offsets
-    u = window.events["u"].astype(np.int64)
-    v = window.events["v"].astype(np.int64)
     out = np.empty(len(hypotheses), dtype=np.float64)
     for i, d in enumerate(hypotheses.depths):
-        flow = motion_field(intrinsics, velocity, d)
-        per_event = flow[v, u]
-        warped = np.stack([u + per_event[:, 0] * off,
-                           v + per_event[:, 1] * off], axis=1)
-        iwe = accumulate(warped, intrinsics.resolution, splat=splat, d=d)
+        warped = warp(d)
+        iwe = accumulate(warped, intrinsics.resolution, splat=splat)
         out[i] = objective(iwe, focus_cfg, warped=warped, offsets=off, splat=splat)
     return out
 
@@ -311,7 +290,8 @@ def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
             vi = np.arange(h) >> shift
             ui = np.arange(w) >> shift
             norm = norm[:, vi[:, None], ui[None, :]]
-        acc += wk * norm
+        norm *= wk            # in place: no third full-size buffer
+        acc += norm
     acc /= weights.sum()
     return CostVolume(scores=acc, hypotheses=base.hypotheses, scale=0)
 

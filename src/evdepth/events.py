@@ -29,11 +29,16 @@ def make_events(t, u, v, p) -> np.ndarray:
 
 def check_stream(events: np.ndarray, width: int | None = None,
                  height: int | None = None) -> None:
-    """Validate monotone timestamps and, if a resolution is given, bounds.
+    """Validate finite, monotone timestamps and, if a resolution is given,
+    bounds.
 
     Raises ValueError naming the first offending event index.
     """
     t = events["t"]
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"event {i} has a non-finite timestamp {t[i]!r}")
     if t.size > 1:
         bad = np.nonzero(np.diff(t) < 0)[0]
         if bad.size:

@@ -1,8 +1,8 @@
 """Focus scoring of warped-event images.
 
-The primary scorer is a deterministic gradient-energy operator: a stack of
-first/second-order gradient maps, a weighted absolute-value combination, and
-a windowed root-sum-of-squares aggregation.  The four classic contrast
+The primary scorer is a deterministic gradient-energy operator: a weighted
+sum of absolute first/second-order gradient channels, and a windowed
+root-sum-of-squares aggregation.  The four classic contrast
 objectives (variance, squared timestamp image, sum of exponentials, sum of
 suppressed accumulations) are provided as scalar baselines; all kinds share
 the maximize-is-focused convention.
@@ -22,20 +22,6 @@ VOLUME_KINDS = ("fcd", "var", "soe")
 
 
 @dataclass(frozen=True)
-class GradientStack:
-    """First- and second-order gradient maps of one IWE."""
-    gx: np.ndarray
-    gy: np.ndarray
-    gxx: np.ndarray
-    gyy: np.ndarray
-    gxy: np.ndarray
-    gxxyy: np.ndarray         # elementwise gxx * gyy
-
-    def as_tuple(self):
-        return (self.gx, self.gy, self.gxx, self.gyy, self.gxy, self.gxxyy)
-
-
-@dataclass(frozen=True)
 class FocusWeights:
     """One weight per gradient channel, in CHANNELS order."""
     values: tuple[float, float, float, float, float, float] = (1.0,) * 6
@@ -45,13 +31,6 @@ class FocusWeights:
             raise ValueError(f"expected 6 channel weights, got {len(self.values)}")
         if not any(w != 0 for w in self.values):
             raise ValueError("at least one channel weight must be nonzero")
-
-
-@dataclass(frozen=True)
-class ScoreMap:
-    """Per-pixel focus score (higher = more focused) for one hypothesis."""
-    values: np.ndarray
-    radius: int
 
 
 @dataclass(frozen=True)
@@ -78,33 +57,31 @@ def _second_difference(grid: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def gradient_stack(grid: np.ndarray) -> GradientStack:
-    """Six-channel gradient stack; needs at least a 3x3 grid.
+def weighted_gradients(grid: np.ndarray, weights: FocusWeights) -> np.ndarray:
+    """Weighted sum of the absolute gradient channels, in CHANNELS order.
 
-    First order uses central differences (one-sided at borders, matching
-    np.gradient); the mixed term is the v-gradient of gx.
+    Absolute values stop signed derivatives from cancelling; the squaring
+    happens in window_energy.  Only channels with a nonzero weight (and the
+    channels they derive from) are computed.  First order uses central
+    differences (one-sided at borders, matching np.gradient); the mixed term
+    is the v-gradient of gx; the product channel is gxx * gyy.  Needs at
+    least a 3x3 grid.
     """
     h, w = grid.shape
     if h < 3 or w < 3:
         raise ValueError(f"grid {h}x{w} too small for gradients (needs >= 3x3)")
+    w_x, w_y, w_xx, w_yy, w_xy, w_xxyy = weights.values
     # axis 0 is v (rows), axis 1 is u (columns)
-    gx = np.gradient(grid, axis=1)
-    gy = np.gradient(grid, axis=0)
-    gxx = _second_difference(grid, axis=1)
-    gyy = _second_difference(grid, axis=0)
-    gxy = np.gradient(gx, axis=0)
-    return GradientStack(gx=gx, gy=gy, gxx=gxx, gyy=gyy, gxy=gxy,
-                         gxxyy=gxx * gyy)
-
-
-def combine(stack: GradientStack, weights: FocusWeights) -> np.ndarray:
-    """Weighted sum of absolute channel maps.  Absolute values stop signed
-    derivatives from cancelling; the squaring happens in window_energy."""
-    maps = stack.as_tuple()
-    out = np.zeros_like(maps[0])
-    for w, m in zip(weights.values, maps):
-        if w != 0:
-            out += w * np.abs(m)
+    gx = np.gradient(grid, axis=1) if w_x or w_xy else None
+    gy = np.gradient(grid, axis=0) if w_y else None
+    gxx = _second_difference(grid, axis=1) if w_xx or w_xxyy else None
+    gyy = _second_difference(grid, axis=0) if w_yy or w_xxyy else None
+    gxy = np.gradient(gx, axis=0) if w_xy else None
+    gxxyy = gxx * gyy if w_xxyy else None
+    out = np.zeros(grid.shape)
+    for wt, m in zip(weights.values, (gx, gy, gxx, gyy, gxy, gxxyy)):
+        if wt != 0:
+            out += wt * np.abs(m)
     return out
 
 
@@ -131,15 +108,14 @@ def box_window_sum(grid: np.ndarray, radius: int) -> np.ndarray:
     return sat[v1, u1] - sat[v0, u1] - sat[v1, u0] + sat[v0, u0]
 
 
-def window_energy(combined: np.ndarray, radius: int) -> ScoreMap:
+def window_energy(combined: np.ndarray, radius: int) -> np.ndarray:
     """Root of the windowed sum of squares: C(p) = sqrt(sum_window R(q)^2)."""
-    values = np.sqrt(np.maximum(box_window_sum(combined * combined, radius), 0.0))
-    return ScoreMap(values=values, radius=radius)
+    return np.sqrt(np.maximum(box_window_sum(combined * combined, radius), 0.0))
 
 
 def fcd_score_map(grid: np.ndarray, config: FocusConfig) -> np.ndarray:
-    return window_energy(combine(gradient_stack(grid), config.weights),
-                         config.window_radius).values
+    return window_energy(weighted_gradients(grid, config.weights),
+                         config.window_radius)
 
 
 def volume_score_map(grid: np.ndarray, config: FocusConfig) -> np.ndarray:
@@ -164,7 +140,7 @@ def mean_timestamp_image(iwe: Iwe, warped: np.ndarray, offsets: np.ndarray,
                          splat: str = "bilinear") -> np.ndarray:
     """Per-pixel mean time offset of the events splatted there (0 if none)."""
     h, w = iwe.grid.shape
-    weighted = accumulate(warped, (w, h), splat=splat, d=iwe.d,
+    weighted = accumulate(warped, (w, h), splat=splat,
                           weights=offsets.astype(np.float64))
     out = np.zeros((h, w), dtype=np.float64)
     np.divide(weighted.grid, iwe.grid, out=out, where=iwe.grid > 0)

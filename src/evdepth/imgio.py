@@ -29,7 +29,11 @@ def read_pfm(path: str | Path) -> np.ndarray:
         scale = float(fh.readline().strip())
         count = w * h
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(fh.read(count * 4), dtype=dtype, count=count)
+        payload = fh.read(count * 4)
+    if len(payload) < count * 4:
+        raise ValueError(f"{path}: truncated PFM payload: {len(payload)} of "
+                         f"{count * 4} bytes")
+    data = np.frombuffer(payload, dtype=dtype, count=count)
     return data.reshape(h, w)[::-1].astype(np.float32)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 class Iwe:
     """Event mass per pixel under one depth hypothesis."""
     grid: np.ndarray          # (H, W) float64, all >= 0
-    d: float                  # depth hypothesis the warp used (m)
     discarded: int            # events whose warped position fell out of bounds
 
     @property
@@ -24,17 +23,8 @@ class Iwe:
         return float(self.grid.sum())
 
 
-@dataclass(frozen=True)
-class IwePyramid:
-    levels: tuple[Iwe, ...]   # levels[0] is full resolution
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-
 def accumulate(warped: np.ndarray, resolution: tuple[int, int],
-               splat: str = "bilinear", d: float = 0.0,
-               weights: np.ndarray | None = None) -> Iwe:
+               splat: str = "bilinear", weights: np.ndarray | None = None) -> Iwe:
     """Splat warped (x, y) coordinates onto a (height, width) grid.
 
     Each in-bounds event contributes unit mass (or its entry of ``weights``);
@@ -77,7 +67,7 @@ def accumulate(warped: np.ndarray, resolution: tuple[int, int],
     else:
         raise ValueError(f"unknown splat mode {splat!r}")
 
-    return Iwe(grid=grid.reshape(h, w), d=d, discarded=n - kept)
+    return Iwe(grid=grid.reshape(h, w), discarded=n - kept)
 
 
 def block_sum(grid: np.ndarray) -> np.ndarray:
@@ -91,18 +81,16 @@ def block_sum(grid: np.ndarray) -> np.ndarray:
     return grid.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
 
 
-def build_pyramid(base: Iwe, num_scales: int) -> IwePyramid:
-    """Stack of block-sum halvings; level 0 is ``base`` itself."""
+def build_pyramid(grid: np.ndarray, num_scales: int) -> list[np.ndarray]:
+    """Block-sum halvings of ``grid``; level 0 is ``grid`` itself."""
     if num_scales < 1:
         raise ValueError(f"num_scales must be >= 1, got {num_scales}")
-    h, w = base.grid.shape
+    h, w = grid.shape
     factor = 2 ** (num_scales - 1)
     if h < factor or w < factor:
         raise ValueError(
             f"grid {h}x{w} too small for {num_scales} scales (needs >= {factor})")
-    levels = [base]
+    levels = [grid]
     for _ in range(1, num_scales):
-        prev = levels[-1]
-        levels.append(Iwe(grid=block_sum(prev.grid), d=base.d,
-                          discarded=base.discarded))
-    return IwePyramid(levels=tuple(levels))
+        levels.append(block_sum(levels[-1]))
+    return levels

@@ -8,7 +8,9 @@ translational term with a depth-independent rotational term:
 
 with u' = u - cu, v' = v - cv.  Events are warped to the window's reference
 time by a single linear step: p_warped = p + flow(p) * (t - t_ref), the flow
-sampled at each event's original integer pixel.
+sampled at each event's original integer pixel.  The flow is affine in 1/d,
+so a window's per-event terms are computed once and reused for every
+hypothesis (``EventWarp``).
 """
 from __future__ import annotations
 
@@ -64,53 +66,64 @@ class CameraRig:
             raise ValueError("velocity track timestamps must be strictly increasing")
 
 
-def pixel_offsets(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Principal-point-centered coordinates (u', v') on the sensor grid."""
-    u = np.arange(intrinsics.width, dtype=np.float64) - intrinsics.cu
-    v = np.arange(intrinsics.height, dtype=np.float64) - intrinsics.cv
-    return np.meshgrid(u, v)
+def flow_terms(intrinsics: CameraIntrinsics, velocity: VelocitySample,
+               u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Flow (px/s) at pixels (u, v) split as ``trans / d + rot``.
+
+    Both terms have shape ``u.shape + (2,)``.  The translational term scales
+    with 1/d; the rotational term is depth-independent, so pure rotation
+    yields the same flow at every d.
+    """
+    f = intrinsics.f
+    tx, ty, tz = velocity.linear
+    wx, wy, wz = velocity.angular
+    up = np.asarray(u, dtype=np.float64) - intrinsics.cu
+    vp = np.asarray(v, dtype=np.float64) - intrinsics.cv
+    upvp = up * vp
+    trans = np.stack([-f * tx + up * tz, -f * ty + vp * tz], axis=-1)
+    rot = np.stack([(upvp * wx - (f * f + up * up) * wy + f * vp * wz) / f,
+                    ((f * f + vp * vp) * wx - upvp * wy - f * up * wz) / f],
+                   axis=-1)
+    return trans, rot
+
+
+def _check_depth(d: float) -> None:
+    if not d > 0:
+        raise ValueError(f"depth hypothesis must be positive, got {d}")
 
 
 def motion_field(intrinsics: CameraIntrinsics, velocity: VelocitySample,
                  d: float) -> np.ndarray:
-    """Per-pixel flow (px/s) for depth hypothesis d, shape (H, W, 2).
+    """Per-pixel flow (px/s) for depth hypothesis d, shape (H, W, 2)."""
+    _check_depth(d)
+    u, v = np.meshgrid(np.arange(intrinsics.width), np.arange(intrinsics.height))
+    trans, rot = flow_terms(intrinsics, velocity, u, v)
+    return trans / d + rot
 
-    The translational part scales with 1/d; the rotational part is
-    depth-independent, so pure rotation yields the same field at every d.
+
+class EventWarp:
+    """One window's events warped to t_ref under any depth hypothesis.
+
+    The flow terms are gathered at the events' own pixels once; each call
+    ``warp(d)`` then returns the (N, 2) sub-pixel (x, y) coordinates under
+    depth d.  Out-of-bounds results pass through untouched; accumulation
+    decides their fate.
     """
-    if not d > 0:
-        raise ValueError(f"depth hypothesis must be positive, got {d}")
-    f = intrinsics.f
-    tx, ty, tz = velocity.linear
-    wx, wy, wz = velocity.angular
-    up, vp = pixel_offsets(intrinsics)
 
-    flow = np.empty((intrinsics.height, intrinsics.width, 2), dtype=np.float64)
-    upvp = up * vp
-    flow[..., 0] = (-f * tx + up * tz) / d \
-        + (upvp * wx - (f * f + up * up) * wy + f * vp * wz) / f
-    flow[..., 1] = (-f * ty + vp * tz) / d \
-        + ((f * f + vp * vp) * wx - upvp * wy - f * up * wz) / f
-    return flow
+    def __init__(self, window: EventWindow, intrinsics: CameraIntrinsics,
+                 velocity: VelocitySample):
+        u = window.events["u"]
+        v = window.events["v"]
+        if u.size and (u.max() >= intrinsics.width or v.max() >= intrinsics.height):
+            raise ValueError(f"events lie outside the {intrinsics.width}x"
+                             f"{intrinsics.height} sensor")
+        self.pixels = np.stack([u, v], axis=1).astype(np.float64)
+        self.trans, self.rot = flow_terms(intrinsics, velocity, u, v)
+        self.dt = window.offsets[:, None]
 
-
-def warp_events(window: EventWindow, flow: np.ndarray) -> np.ndarray:
-    """Warp every event to t_ref; returns (N, 2) sub-pixel (x, y) coordinates.
-
-    Out-of-bounds results pass through untouched; accumulation decides
-    their fate.
-    """
-    h, w = flow.shape[:2]
-    u = window.events["u"]
-    v = window.events["v"]
-    if u.size and (u.max() >= w or v.max() >= h):
-        raise ValueError("flow field does not cover the event coordinates")
-    dt = window.offsets
-    per_event = flow[v, u]
-    out = np.empty((len(window), 2), dtype=np.float64)
-    out[:, 0] = u + per_event[:, 0] * dt
-    out[:, 1] = v + per_event[:, 1] * dt
-    return out
+    def __call__(self, d: float) -> np.ndarray:
+        _check_depth(d)
+        return self.pixels + (self.trans / d + self.rot) * self.dt
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .costvol import (AggregationConfig, HypothesisSet, SweepConfig,
-                      extract_depth, multiscale_fuse, trend_filter,
-                      build_volume)
+                      estimate_depth)
 from .events import EventWindow, make_events
 from .focus import box_window_sum
 from .iwe import accumulate
-from .motion import CameraRig, VelocitySample, interpolate_velocity, motion_field, warp_events
+from .motion import CameraRig, EventWarp, interpolate_velocity, motion_field
 
 SCENE_KINDS = ("plane", "two_plane", "striped")
 
@@ -224,11 +223,11 @@ def generate(scene: SceneSpec, rig: CameraRig, duration: float,
     return window, truth
 
 
-def trajectory_spread(window: EventWindow, truth: GroundTruth,
-                      flow: np.ndarray) -> float:
-    """Largest per-trajectory extent (px) after warping; the generator's
-    inverse property says this vanishes at the true depth."""
-    warped = warp_events(window, flow)
+def trajectory_spread(window: EventWindow, truth: GroundTruth, intrinsics,
+                      velocity, d: float) -> float:
+    """Largest per-trajectory extent (px) after warping under depth d; the
+    generator's inverse property says this vanishes at the true depth."""
+    warped = EventWarp(window, intrinsics, velocity)(d)
     spread = 0.0
     for tid in np.unique(truth.event_trajectory):
         pts = warped[truth.event_trajectory == tid]
@@ -244,11 +243,10 @@ def event_pixel_mask(window: EventWindow, intrinsics, velocity,
                      ) -> np.ndarray:
     """Pixels whose focus window holds real signal: windowed mass of the
     IWE warped at each pixel's own true depth meets the support threshold."""
+    warp = EventWarp(window, intrinsics, velocity)
     support = np.zeros((intrinsics.height, intrinsics.width))
     for d in np.unique(truth.depth):
-        flow = motion_field(intrinsics, velocity, float(d))
-        iwe = accumulate(warp_events(window, flow), intrinsics.resolution,
-                         splat=splat, d=float(d))
+        iwe = accumulate(warp(float(d)), intrinsics.resolution, splat=splat)
         mass = box_window_sum(iwe.grid, radius)
         sel = truth.depth == d
         support[sel] = mass[sel]
@@ -269,12 +267,9 @@ def oracle_depth_error(window: EventWindow, intrinsics, velocity,
                        sweep: SweepConfig = SweepConfig(),
                        agg: AggregationConfig = AggregationConfig(),
                        ) -> OracleReport:
-    """Run the full sweep and grade the selected bins against ground truth."""
-    result = build_volume(window, intrinsics, velocity, hypotheses, sweep)
-    filtered = [trend_filter(vol, agg.trend_iterations, agg.peak_alpha)
-                for vol in result.volumes]
-    fused = multiscale_fuse(filtered, agg.scale_weights)
-    depth_map = extract_depth(fused, result.support, agg.min_support)
+    """Run the full pipeline and grade the selected bins against ground truth."""
+    depth_map, _, fused = estimate_depth(window, intrinsics, velocity,
+                                         hypotheses, sweep, agg)
 
     mask = event_pixel_mask(window, intrinsics, velocity, truth,
                             sweep.focus.window_radius, agg.min_support,

@@ -31,11 +31,11 @@ from evdepth.metrics import evaluate
 from evdepth.motion import (
     CameraIntrinsics,
     CameraRig,
+    EventWarp,
     VelocitySample,
     inject_velocity_noise,
     interpolate_velocity,
     motion_field,
-    warp_events,
 )
 from evdepth.synth import (
     SceneSpec,
@@ -105,16 +105,16 @@ def test_01_motion_field_hand_cases_fast_and_exact():
 
 def test_02_true_depth_collapse_and_mass_conservation(plane_data):
     window, truth = plane_data
-    spread = trajectory_spread(window, truth,
-                               motion_field(INTR, VEL, TRUE_DEPTH))
+    spread = trajectory_spread(window, truth, INTR, VEL, TRUE_DEPTH)
     assert spread <= 1e-6
 
     n = len(window.events)
     worst = 0.0
+    warp = EventWarp(window, INTR, VEL)
     for d in (2.0, 5.0, TRUE_DEPTH, 25.0, 50.0):
-        warped = warp_events(window, motion_field(INTR, VEL, d))
+        warped = warp(d)
         for splat in ("bilinear", "nearest"):
-            iwe = accumulate(warped, INTR.resolution, splat=splat, d=d)
+            iwe = accumulate(warped, INTR.resolution, splat=splat)
             worst = max(worst, abs(iwe.mass + iwe.discarded - n) / n)
     assert worst <= 1e-6
     print(f"PASS warp inverse: trajectory spread {spread:.2e} px at the true "

@@ -170,6 +170,34 @@ class TestDepth:
         assert rc == 2
 
 
+def write_bad_stream(dataset, path, u=None, t=None):
+    """The simulated stream with one event moved to column ``u`` or time ``t``."""
+    lines = (dataset / "sim" / "events.txt").read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 3
+    ts, us, vs, ps = lines[i].split()
+    lines[i] = f"{ts if t is None else t} {us if u is None else u} {vs} {ps}"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+@pytest.mark.parametrize("bad", [{"u": 64}, {"t": "nan"}],
+                         ids=["column", "nan_time"])
+def test_bad_event_is_config_error_naming_file(dataset, tmp_path, capsys,
+                                               command, bad):
+    events = write_bad_stream(dataset, tmp_path / "bad.txt", **bad)
+    extra = (["--truth", str(dataset / "sim" / "truth.pfm"), "--levels", "0"]
+             if command == "ablate" else [])
+    rc = main([command, "--events", str(events),
+               "--camera", str(dataset / "camera.json"),
+               "--track", str(dataset / "track.txt"),
+               "--out", str(tmp_path / "out"), *FAST, *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: event stream {events}: event 3 ")
+    assert not (tmp_path / "out").exists()
+
+
 class TestEval:
     def test_unmatched_truth_directory_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"
@@ -180,6 +208,16 @@ class TestEval:
         truth_dir.mkdir()
         rc = main(["eval", "--pred", str(pred), "--truth", str(truth_dir)])
         assert rc == 2
+
+    def test_truncated_prediction_names_file(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        path = pred / "depth_0000.pfm"
+        path.write_bytes(b"Pf\n2 2\n-1.0\n" + np.ones(3, dtype="<f4").tobytes())
+        rc = main(["eval", "--pred", str(pred),
+                   "--truth", str(dataset / "sim" / "truth.pfm")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: truncated")
 
     def test_empty_prediction_dir_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"

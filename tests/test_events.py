@@ -52,6 +52,13 @@ class TestCheckStream:
         with pytest.raises(ValueError, match="index 2"):
             check_stream(ev)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_names_index(self, bad):
+        # NaN compares false, so a monotonicity check alone lets it through
+        ev = make_events([0.0, 0.1, bad, 0.3], [0] * 4, [0] * 4, [0] * 4)
+        with pytest.raises(ValueError, match="event 2 has a non-finite"):
+            check_stream(ev)
+
     def test_out_of_bounds_column(self):
         ev = make_events([0.0], [10], [0], [0])
         with pytest.raises(ValueError, match="width"):

@@ -1,5 +1,5 @@
-"""Gradient stacks, weighted combination, window energy, and the scalar
-contrast objectives."""
+"""Weighted gradient channels, window energy, and the scalar contrast
+objectives."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,12 @@ from evdepth.focus import (
     VOLUME_KINDS,
     FocusConfig,
     FocusWeights,
-    GradientStack,
     box_window_sum,
-    combine,
     fcd_score_map,
-    gradient_stack,
     mean_timestamp_image,
     objective,
     volume_score_map,
+    weighted_gradients,
     window_energy,
 )
 from evdepth.iwe import accumulate
@@ -28,67 +26,102 @@ def ramp(h=5, w=5):
     return np.tile(np.arange(w, dtype=np.float64), (h, 1))
 
 
+def channel(grid, k, weight=1.0):
+    """weight * |channel k| alone, through a one-hot weight vector."""
+    values = [0.0] * len(CHANNELS)
+    values[k] = weight
+    return weighted_gradients(grid, FocusWeights(values=tuple(values)))
+
+
+def six_channel_sum(grid, weights):
+    """Reference: all six channels computed, summed in CHANNELS order."""
+    gx = np.gradient(grid, axis=1)
+    gy = np.gradient(grid, axis=0)
+    gxx = np.zeros_like(grid)
+    gxx[:, 1:-1] = grid[:, 2:] - 2 * grid[:, 1:-1] + grid[:, :-2]
+    gxx[:, 0] = grid[:, 0] - 2 * grid[:, 1] + grid[:, 2]
+    gxx[:, -1] = grid[:, -1] - 2 * grid[:, -2] + grid[:, -3]
+    gyy = np.zeros_like(grid)
+    gyy[1:-1] = grid[2:] - 2 * grid[1:-1] + grid[:-2]
+    gyy[0] = grid[0] - 2 * grid[1] + grid[2]
+    gyy[-1] = grid[-1] - 2 * grid[-2] + grid[-3]
+    gxy = np.gradient(gx, axis=0)
+    out = np.zeros_like(grid)
+    for w, m in zip(weights, (gx, gy, gxx, gyy, gxy, gxx * gyy)):
+        if w != 0:
+            out += w * np.abs(m)
+    return out
+
+
 class TestGradientStack:
+    """Each channel of weighted_gradients, isolated by a one-hot weight."""
+
     def test_horizontal_ramp(self):
-        st = gradient_stack(ramp())
-        np.testing.assert_array_equal(st.gx, np.ones((5, 5)))
-        assert not st.gy.any()
-        assert not st.gxx.any()
-        assert not st.gyy.any()
-        assert not st.gxy.any()
-        assert not st.gxxyy.any()
+        np.testing.assert_array_equal(channel(ramp(), 0), np.ones((5, 5)))
+        for k in range(1, 6):
+            assert not channel(ramp(), k).any()
 
     def test_constant_grid_all_zero(self):
-        st = gradient_stack(np.full((4, 6), 3.0))
-        for m in st.as_tuple():
-            assert not m.any()
+        for k in range(6):
+            assert not channel(np.full((4, 6), 3.0), k).any()
 
     def test_parabola_second_difference(self):
         # grid = u^2: second difference is exactly 2, borders included
         u = np.arange(6, dtype=np.float64)
-        st = gradient_stack(np.tile(u * u, (4, 1)))
-        np.testing.assert_array_equal(st.gxx, np.full((4, 6), 2.0))
+        np.testing.assert_array_equal(channel(np.tile(u * u, (4, 1)), 2),
+                                      np.full((4, 6), 2.0))
 
     def test_bilinear_saddle_mixed_term(self):
         # grid = u*v: gx = v, so the v-gradient of gx is exactly 1
         v = np.arange(5, dtype=np.float64)[:, None]
         u = np.arange(7, dtype=np.float64)[None, :]
-        st = gradient_stack(u * v)
-        np.testing.assert_array_equal(st.gxy, np.ones((5, 7)))
+        np.testing.assert_array_equal(channel(u * v, 4), np.ones((5, 7)))
 
     def test_product_channel_is_elementwise(self):
         rng = np.random.default_rng(2)
-        st = gradient_stack(rng.uniform(size=(6, 6)))
-        np.testing.assert_array_equal(st.gxxyy, st.gxx * st.gyy)
+        grid = rng.uniform(size=(6, 6))
+        np.testing.assert_array_equal(channel(grid, 5),
+                                      channel(grid, 2) * channel(grid, 3))
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            gradient_stack(np.zeros((2, 5)))
+            weighted_gradients(np.zeros((2, 5)), FocusWeights())
 
     def test_channel_count_matches_names(self):
-        st = gradient_stack(ramp())
-        assert len(st.as_tuple()) == len(CHANNELS) == 6
+        assert len(FocusWeights().values) == len(CHANNELS) == 6
 
 
 class TestCombine:
     def test_single_channel_selection(self):
-        st = gradient_stack(ramp())
-        out = combine(st, FocusWeights(values=(1.0, 0, 0, 0, 0, 0)))
-        np.testing.assert_array_equal(out, np.abs(st.gx))
+        out = weighted_gradients(ramp(), FocusWeights(values=(1.0, 0, 0, 0, 0, 0)))
+        np.testing.assert_array_equal(out, np.abs(np.gradient(ramp(), axis=1)))
 
     def test_signed_weights_on_constant_stack(self):
-        m = np.full((3, 3), 2.0)
-        st = GradientStack(gx=m, gy=m, gxx=m, gyy=m, gxy=m, gxxyy=m)
-        out = combine(st, FocusWeights(values=(1.0, -1.0, 2.0, 0, 0, 0)))
-        # |2|*1 - |2|*1 + |2|*2 = 4
-        np.testing.assert_array_equal(out, np.full((3, 3), 4.0))
+        # a signed weight subtracts its channel's magnitude, in channel order
+        rng = np.random.default_rng(3)
+        grid = rng.uniform(size=(6, 7))
+        out = weighted_gradients(grid, FocusWeights(values=(1.0, -1.0, 2.0, 0, 0, 0)))
+        expect = channel(grid, 0) + channel(grid, 1, -1.0) + channel(grid, 2, 2.0)
+        np.testing.assert_array_equal(out, expect)
 
     def test_absolute_values_prevent_cancellation(self):
-        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        st = GradientStack(gx=m, gy=-m, gxx=m * 0, gyy=m * 0,
-                           gxy=m * 0, gxxyy=m * 0)
-        out = combine(st, FocusWeights(values=(1.0, 1.0, 0, 0, 0, 0)))
-        np.testing.assert_array_equal(out, np.full((2, 2), 2.0))
+        # grid = u - v: gx = 1 and gy = -1 everywhere
+        v = np.arange(4, dtype=np.float64)[:, None]
+        u = np.arange(5, dtype=np.float64)[None, :]
+        out = weighted_gradients(u - v, FocusWeights(values=(1.0, 1.0, 0, 0, 0, 0)))
+        np.testing.assert_array_equal(out, np.full((4, 5), 2.0))
+
+    @pytest.mark.parametrize("weights", [(1, 0, 1, 0, 0, 0), (1,) * 6,
+                                         (0, 0.5, 0, 2, 0, 0), (0, 0, 0, 0, 0, 1)])
+    def test_sparse_channels_match_six_channel_sum(self, weights):
+        rng = np.random.default_rng(8)
+        grid = rng.poisson(2.0, size=(18, 23)).astype(np.float64)
+        weights = tuple(float(w) for w in weights)
+        cfg = FocusConfig(kind="fcd", window_radius=5,
+                          weights=FocusWeights(values=weights))
+        np.testing.assert_array_equal(
+            fcd_score_map(grid, cfg),
+            window_energy(six_channel_sum(grid, weights), 5))
 
 
 class TestBoxWindowSum:
@@ -122,22 +155,18 @@ class TestBoxWindowSum:
 
 class TestWindowEnergy:
     def test_zero_input(self):
-        sm = window_energy(np.zeros((6, 6)), 3)
-        assert not sm.values.any()
-        assert sm.radius == 3
+        assert not window_energy(np.zeros((6, 6)), 3).any()
 
     def test_single_spike_spreads_over_window(self):
         combined = np.zeros((7, 7))
         combined[3, 3] = 3.0
-        sm = window_energy(combined, 3)
         expect = np.zeros((7, 7))
         expect[2:5, 2:5] = 3.0
-        np.testing.assert_allclose(sm.values, expect)
+        np.testing.assert_allclose(window_energy(combined, 3), expect)
 
     def test_side_one_is_magnitude(self):
         combined = np.array([[-2.0, 0.5], [0.0, 3.0], [1.0, -1.0]])
-        sm = window_energy(combined, 1)
-        np.testing.assert_allclose(sm.values, np.abs(combined))
+        np.testing.assert_allclose(window_energy(combined, 1), np.abs(combined))
 
 
 class TestScalarObjectives:

@@ -1,5 +1,7 @@
 """Float PFM and 8-bit PGM round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,13 @@ class TestPfm:
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)
         with pytest.raises(ValueError):
+            read_pfm(path)
+
+    def test_truncated_payload_names_path(self, tmp_path):
+        path = tmp_path / "short.pfm"
+        write_pfm(path, np.ones((3, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated"):
             read_pfm(path)
 
     def test_float64_input_downcast(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdepth.iwe import Iwe, accumulate, block_sum, build_pyramid
+from evdepth.iwe import accumulate, block_sum, build_pyramid
 
 
 class TestNearest:
@@ -93,11 +93,6 @@ class TestAccumulateGeneral:
         with pytest.raises(ValueError):
             accumulate(np.zeros((3, 2)), resolution=(0, 4), splat="nearest")
 
-    def test_depth_label_carried(self):
-        out = accumulate(np.zeros((1, 2)), resolution=(4, 4),
-                         splat="nearest", d=7.5)
-        assert out.d == 7.5
-
     @settings(max_examples=50, deadline=None)
     @given(
         pts=st.lists(
@@ -138,35 +133,32 @@ class TestBlockSum:
 
 
 class TestPyramid:
-    def iwe(self, grid):
-        return Iwe(grid=np.asarray(grid, dtype=np.float64), d=1.0, discarded=0)
-
     def test_single_scale_is_identity(self):
-        base = self.iwe(np.arange(12.0).reshape(3, 4))
-        pyr = build_pyramid(base, num_scales=1)
-        assert len(pyr) == 1
-        np.testing.assert_array_equal(pyr.levels[0].grid, base.grid)
+        base = np.arange(12.0).reshape(3, 4)
+        levels = build_pyramid(base, num_scales=1)
+        assert len(levels) == 1
+        np.testing.assert_array_equal(levels[0], base)
 
     def test_two_by_two_collapses(self):
-        pyr = build_pyramid(self.iwe([[1.0, 2.0], [3.0, 4.0]]), num_scales=2)
-        np.testing.assert_array_equal(pyr.levels[1].grid, [[10.0]])
+        levels = build_pyramid(np.array([[1.0, 2.0], [3.0, 4.0]]), num_scales=2)
+        np.testing.assert_array_equal(levels[1], [[10.0]])
 
     def test_mass_equal_across_levels(self):
         rng = np.random.default_rng(5)
-        base = self.iwe(rng.uniform(size=(16, 24)))
-        pyr = build_pyramid(base, num_scales=4)
-        for lv in pyr.levels[1:]:
-            np.testing.assert_allclose(lv.mass, base.mass, rtol=1e-12)
+        base = rng.uniform(size=(16, 24))
+        levels = build_pyramid(base, num_scales=4)
+        for lv in levels[1:]:
+            np.testing.assert_allclose(lv.sum(), base.sum(), rtol=1e-12)
 
     def test_shapes_halve_with_ceiling(self):
-        pyr = build_pyramid(self.iwe(np.zeros((10, 14))), num_scales=3)
-        shapes = [lv.grid.shape for lv in pyr.levels]
+        levels = build_pyramid(np.zeros((10, 14)), num_scales=3)
+        shapes = [lv.shape for lv in levels]
         assert shapes == [(10, 14), (5, 7), (3, 4)]
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            build_pyramid(self.iwe(np.zeros((2, 8))), num_scales=3)
+            build_pyramid(np.zeros((2, 8)), num_scales=3)
 
     def test_bad_scale_count_rejected(self):
         with pytest.raises(ValueError):
-            build_pyramid(self.iwe(np.zeros((8, 8))), num_scales=0)
+            build_pyramid(np.zeros((8, 8)), num_scales=0)

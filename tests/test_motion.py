@@ -6,6 +6,7 @@ import pytest
 from evdepth.events import EventWindow, make_events
 from evdepth.motion import (
     CameraIntrinsics,
+    EventWarp,
     VelocitySample,
     average_velocity_norms,
     inject_velocity_noise,
@@ -15,7 +16,6 @@ from evdepth.motion import (
     motion_field,
     save_camera,
     save_track,
-    warp_events,
 )
 
 # A 21x21 sensor with the principal point at (10, 10): pixel (10, 10) has
@@ -86,39 +86,75 @@ class TestMotionField:
                            angular=(0.0, 0.0, 0.0))
 
 
+def field_gather_warp(window, intrinsics, velocity, d):
+    """Reference warp: the full motion field, gathered at the event pixels."""
+    flow = motion_field(intrinsics, velocity, d)
+    u = window.events["u"].astype(np.int64)
+    v = window.events["v"].astype(np.int64)
+    per_event = flow[v, u]
+    dt = window.offsets
+    out = np.empty((len(window), 2), dtype=np.float64)
+    out[:, 0] = u + per_event[:, 0] * dt
+    out[:, 1] = v + per_event[:, 1] * dt
+    return out
+
+
 class TestWarpEvents:
+    """EventWarp: per-event flow terms gathered once, any depth per call."""
+
     def window(self, u, v, offset):
         ev = make_events([0.0], [u], [v], [0])
         return EventWindow(events=ev, t_ref=-offset, t_span=0.0)
 
     def test_single_event_arithmetic(self):
-        # flow (-10, 0), t - t_ref = 0.1 -> (10, 10) warps to (9.0, 10.0)
-        flow = np.zeros((21, 21, 2))
-        flow[..., 0] = -10.0
-        warped = warp_events(self.window(10, 10, 0.1), flow)
-        np.testing.assert_allclose(warped[0], (9.0, 10.0), rtol=1e-12)
+        # flow (-10, 0) at the principal point, t - t_ref = 0.1 -> (10, 10)
+        # warps to (9.0, 10.0)
+        warp = EventWarp(self.window(10, 10, 0.1), CENTER,
+                         vel(linear=(1.0, 0.0, 0.0)))
+        np.testing.assert_allclose(warp(10.0)[0], (9.0, 10.0), rtol=1e-12)
 
     def test_zero_offset_identity(self):
-        flow = np.full((21, 21, 2), 7.0)
-        warped = warp_events(self.window(4, 5, 0.0), flow)
-        np.testing.assert_allclose(warped[0], (4.0, 5.0))
+        warp = EventWarp(self.window(4, 5, 0.0), CENTER,
+                         vel(linear=(0.7, -0.2, 0.4), angular=(0.1, 0.2, 0.3)))
+        np.testing.assert_allclose(warp(2.0)[0], (4.0, 5.0))
 
     def test_zero_flow_identity(self):
-        warped = warp_events(self.window(4, 5, 0.3), np.zeros((21, 21, 2)))
-        np.testing.assert_allclose(warped[0], (4.0, 5.0))
+        warp = EventWarp(self.window(4, 5, 0.3), CENTER, vel())
+        np.testing.assert_allclose(warp(2.0)[0], (4.0, 5.0))
 
     def test_flow_sampled_at_original_pixel(self):
-        # the event moves into a region of different flow; the warp must
-        # still use the flow at its source pixel
-        flow = np.zeros((21, 21, 2))
-        flow[5, 4, 0] = -10.0
-        flow[5, 3, 0] = +99.0
-        warped = warp_events(self.window(4, 5, 0.1), flow)
-        np.testing.assert_allclose(warped[0], (3.0, 5.0))
+        # z translation: flow (u', v') tz / d is (-60, -50) at the source
+        # pixel (4, 5) and differs everywhere along the way; the warp must
+        # use the source pixel's flow only
+        warp = EventWarp(self.window(4, 5, 0.1), CENTER,
+                         vel(linear=(0.0, 0.0, 1.0)))
+        np.testing.assert_allclose(warp(0.1)[0], (-2.0, 0.0), atol=1e-12)
 
     def test_flow_must_cover_events(self):
         with pytest.raises(ValueError):
-            warp_events(self.window(30, 5, 0.1), np.zeros((21, 21, 2)))
+            EventWarp(self.window(30, 5, 0.1), CENTER, vel())
+        with pytest.raises(ValueError):
+            EventWarp(self.window(5, 21, 0.1), CENTER, vel())
+
+    def test_rejects_non_positive_depth(self):
+        warp = EventWarp(self.window(4, 5, 0.1), CENTER, vel())
+        for d in (0.0, -2.0):
+            with pytest.raises(ValueError):
+                warp(d)
+
+    def test_bitwise_equal_to_field_gather(self):
+        intr = CameraIntrinsics(f=180.0, cu=31.3, cv=22.7, width=64, height=48)
+        rng = np.random.default_rng(11)
+        n = 2000
+        t = np.sort(rng.uniform(0.0, 0.05, size=n))
+        ev = make_events(t, rng.integers(0, 64, size=n),
+                         rng.integers(0, 48, size=n), rng.integers(0, 2, size=n))
+        window = EventWindow.from_events(ev)
+        velocity = vel(linear=(0.9, -0.4, 0.6), angular=(0.05, -0.08, 0.12))
+        warp = EventWarp(window, intr, velocity)
+        for d in np.geomspace(0.5, 200.0, 97):
+            ref = field_gather_warp(window, intr, velocity, d)
+            assert np.array_equal(warp(d), ref)
 
 
 class TestInterpolateVelocity:

@@ -8,7 +8,7 @@ from evdepth.costvol import (AggregationConfig, SweepConfig,
                              inverse_depth_hypotheses)
 from evdepth.focus import FocusConfig, FocusWeights
 from evdepth.motion import (CameraIntrinsics, CameraRig, VelocitySample,
-                            interpolate_velocity, motion_field)
+                            interpolate_velocity)
 from evdepth.synth import (SceneSpec, event_pixel_mask, generate, load_scene,
                            oracle_depth_error, save_scene, trajectory_spread)
 
@@ -96,13 +96,11 @@ class TestGenerate:
 
     def test_warp_at_true_depth_collapses_trajectories(self):
         win, truth = make_window()
-        flow = motion_field(INTR, VEL, 10.0)
-        assert trajectory_spread(win, truth, flow) <= 1e-6
+        assert trajectory_spread(win, truth, INTR, VEL, 10.0) <= 1e-6
 
     def test_warp_at_wrong_depth_smears(self):
         win, truth = make_window()
-        flow = motion_field(INTR, VEL, 5.0)
-        assert trajectory_spread(win, truth, flow) > 1.0
+        assert trajectory_spread(win, truth, INTR, VEL, 5.0) > 1.0
 
     def test_streak_covers_three_pixel_crossings(self):
         # flow -20 px/s over 0.1 s: each trajectory crosses 3 integer pixels,
