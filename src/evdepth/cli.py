@@ -347,6 +347,8 @@ def cmd_depth(args) -> int:
             fh.write("\n")
         log.info("window %d: %d events, %.2fs, %d valid pixels",
                  i, len(window.events), elapsed, int(depth_map.valid.sum()))
+        # Free this window's volumes before the next window is swept.
+        del depth_map, result, fused
     print(f"depth: {len(windows)} window(s) -> {args.out}")
     return 0
 
@@ -412,6 +414,11 @@ def cmd_ablate(args) -> int:
     rig = _load_rig(args)
     events = _load_stream(args.events, rig.intrinsics)
     truth = _parse_input(read_pfm, args.truth, "ground-truth depth")
+    sensor = (rig.intrinsics.height, rig.intrinsics.width)
+    if truth.shape != sensor:
+        raise ConfigError(f"ground-truth depth {args.truth}: shape "
+                          f"{truth.shape[1]}x{truth.shape[0]} does not match the "
+                          f"camera's {sensor[1]}x{sensor[0]} sensor")
     windows = form_windows(events, args.max_count, args.max_interval)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "ablate", args)

@@ -12,7 +12,9 @@ deterministic.
 """
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -141,47 +143,96 @@ class AggregationConfig:
 # ---------------------------------------------------------------------------
 # Sweep execution
 
-def _sweep_chunk(task):
-    """Score a contiguous chunk of hypotheses (runs inside a worker)."""
-    window, intrinsics, velocity, depths, config = task
+def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config):
+    """Score hypotheses ``lo..hi-1`` into the preallocated sweep outputs
+    ``out``: the per-scale score volumes, then support, discarded and mass."""
+    *scores, support, discarded, mass = out
     warp = EventWarp(window, intrinsics, velocity)
-    w, h = intrinsics.resolution
-    m = len(depths)
-    scores = None
-    support = np.empty((m, h, w), dtype=np.float32)
-    discarded = np.empty(m, dtype=np.int64)
-    mass = np.empty(m, dtype=np.float64)
-    for j, d in enumerate(depths):
-        iwe = accumulate(warp(d), intrinsics.resolution, splat=config.splat)
+    for j in range(lo, hi):
+        iwe = accumulate(warp(depths[j]), intrinsics.resolution,
+                         splat=config.splat)
         levels = build_pyramid(iwe.grid, config.num_scales)
-        if scores is None:
-            scores = [np.empty((m, *grid.shape), dtype=np.float64)
-                      for grid in levels]
         for k, grid in enumerate(levels):
             scores[k][j] = volume_score_map(grid, config.focus)
         support[j] = box_window_sum(iwe.grid, config.focus.window_radius)
         discarded[j] = iwe.discarded
         mass[j] = iwe.mass
-    return scores, support, discarded, mass
 
 
-_POOLS: dict[int, "mp.pool.Pool"] = {}
+def _sweep_layout(d, resolution, num_scales):
+    """(dtype, shape, byte offset) of each sweep output, packed 8-byte
+    aligned in one buffer, and the buffer's size.  Pyramid level k is the
+    grid ceil-halved k times."""
+    w, h = resolution
+    specs = [(np.float64, (d, -(-h // 2 ** k), -(-w // 2 ** k)))
+             for k in range(num_scales)]
+    specs += [(np.float32, (d, h, w)), (np.int64, (d,)), (np.float64, (d,))]
+    layout, offset = [], 0
+    for dtype, shape in specs:
+        layout.append((dtype, shape, offset))
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        offset += -(-nbytes // 8) * 8
+    return layout, offset
 
 
-def _get_pool(workers: int):
-    """Process pools are cached per size; fork keeps start-up cheap."""
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = mp.get_context("fork").Pool(processes=workers)
-        _POOLS[workers] = pool
-    return pool
+def _sweep_arrays(layout, buffer=None) -> list[np.ndarray]:
+    """The sweep outputs as views of ``buffer``, or freshly allocated."""
+    if buffer is None:
+        return [np.empty(shape, dtype) for dtype, shape, _ in layout]
+    return [np.frombuffer(buffer, dtype, int(np.prod(shape)), offset).reshape(shape)
+            for dtype, shape, offset in layout]
+
+
+# Each pool is forked with its own anonymous shared-memory arena; workers
+# write their hypotheses there and return nothing, so no volume is pickled.
+_POOLS: dict[int, tuple["mp.pool.Pool", mmap.mmap]] = {}
+_POOL_LOCK = threading.Lock()
+_worker_arena: mmap.mmap | None = None
+
+
+def _attach_arena(arena: mmap.mmap) -> None:
+    global _worker_arena
+    _worker_arena = arena
+
+
+def _sweep_task(task) -> None:
+    """Worker side: score one chunk of hypotheses into the inherited arena."""
+    window, intrinsics, velocity, depths, lo, hi, config = task
+    layout, _ = _sweep_layout(len(depths), intrinsics.resolution,
+                              config.num_scales)
+    _sweep_into(_sweep_arrays(layout, _worker_arena), window, intrinsics,
+                velocity, depths, lo, hi, config)
+
+
+def _get_pool(workers: int, nbytes: int):
+    """The cached pool of ``workers`` processes and its arena of at least
+    ``nbytes``; a smaller arena is replaced with its pool.  Fork keeps
+    start-up cheap and hands the arena to the workers."""
+    entry = _POOLS.get(workers)
+    if entry is not None and len(entry[1]) < nbytes:
+        _close_pool(*_POOLS.pop(workers))
+        entry = None
+    if entry is None:
+        arena = mmap.mmap(-1, nbytes)
+        pool = mp.get_context("fork").Pool(processes=workers,
+                                           initializer=_attach_arena,
+                                           initargs=(arena,))
+        entry = _POOLS[workers] = (pool, arena)
+    return entry
+
+
+def _close_pool(pool, arena) -> None:
+    pool.terminate()
+    pool.join()
+    arena.close()
 
 
 def shutdown_pools() -> None:
-    for pool in _POOLS.values():
-        pool.terminate()
-        pool.join()
-    _POOLS.clear()
+    """Stop every cached worker pool and release its arena."""
+    with _POOL_LOCK:
+        for entry in _POOLS.values():
+            _close_pool(*entry)
+        _POOLS.clear()
 
 
 def build_volume(window: EventWindow, intrinsics: CameraIntrinsics,
@@ -193,20 +244,23 @@ def build_volume(window: EventWindow, intrinsics: CameraIntrinsics,
         raise ValueError(f"{config.num_scales} scales leave the coarsest level "
                          f"below the 3x3 gradient minimum for {min_dim}px")
     depths = hypotheses.depths
-    chunks = np.array_split(depths, min(config.workers, len(depths)))
-    tasks = [(window, intrinsics, velocity, chunk, config)
-             for chunk in chunks if len(chunk)]
+    d = len(depths)
+    layout, nbytes = _sweep_layout(d, intrinsics.resolution, config.num_scales)
     if config.workers == 1:
-        results = [_sweep_chunk(t) for t in tasks]
+        out = _sweep_arrays(layout)
+        _sweep_into(out, window, intrinsics, velocity, depths, 0, d, config)
     else:
-        results = _get_pool(config.workers).map(_sweep_chunk, tasks)
-
-    volumes = [CostVolume(scores=np.concatenate([r[0][k] for r in results]),
-                          hypotheses=hypotheses, scale=k)
-               for k in range(config.num_scales)]
-    support = np.concatenate([r[1] for r in results])
-    discarded = np.concatenate([r[2] for r in results])
-    mass = np.concatenate([r[3] for r in results])
+        n = min(config.workers, d)
+        bounds = [i * (d // n) + min(i, d % n) for i in range(n + 1)]
+        tasks = [(window, intrinsics, velocity, depths, lo, hi, config)
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with _POOL_LOCK:
+            pool, arena = _get_pool(config.workers, nbytes)
+            pool.map(_sweep_task, tasks)
+            out = [view.copy() for view in _sweep_arrays(layout, arena)]
+    *scores, support, discarded, mass = out
+    volumes = [CostVolume(scores=s, hypotheses=hypotheses, scale=k)
+               for k, s in enumerate(scores)]
     return SweepResult(volumes=volumes, support=support, discarded=discarded,
                        mass=mass)
 
@@ -242,22 +296,26 @@ def trend_filter(volume: CostVolume, iterations: int = 1,
         raise ValueError("iterations must be >= 0")
     s = volume.scores
     for _ in range(iterations):
-        padded = np.concatenate([s[:1], s, s[-1:]], axis=0)
-        s = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) * 0.25
+        # (prev + 2 * cur + next) / 4 with replicated ends, accumulated in
+        # place; addition commutes exactly, so the sum is bitwise the same.
+        out = s * 2.0
+        out[1:] += s[:-1]
+        out[0] += s[0]
+        out[:-1] += s[1:]
+        out[-1] += s[-1]
+        out *= 0.25
+        s = out
     if peak_alpha > 0 and s.shape[0] >= 3:
         s = s.copy() if s is volume.scores else s
-        inner = s[1:-1]
-        weak = ((inner > s[:-2]) & (inner > s[2:])
-                & (inner < peak_alpha * s.max(axis=0)[None]))
-        inner[weak] = (0.5 * (s[:-2] + s[2:]))[weak]
+        limit = peak_alpha * s.max(axis=0)
+        prev = s[0].copy()            # the previous slice before suppression
+        for j in range(1, s.shape[0] - 1):
+            cur, nxt = s[j], s[j + 1]
+            weak = (cur > prev) & (cur > nxt) & (cur < limit)
+            mid = 0.5 * (prev + nxt)
+            prev[...] = cur
+            np.copyto(cur, mid, where=weak)
     return replace(volume, scores=s)
-
-
-def _normalize_curves(scores: np.ndarray) -> np.ndarray:
-    peak = scores.max(axis=0)
-    out = np.zeros_like(scores)
-    np.divide(scores, peak[None], out=out, where=peak[None] > 0)
-    return out
 
 
 def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
@@ -285,13 +343,18 @@ def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
         else:
             raise ValueError(f"volume shape {vol.scores.shape} is not a "
                              f"power-of-two reduction of {(d, h, w)}")
-        norm = _normalize_curves(vol.scores)
-        if shift:
-            vi = np.arange(h) >> shift
-            ui = np.arange(w) >> shift
-            norm = norm[:, vi[:, None], ui[None, :]]
-        norm *= wk            # in place: no third full-size buffer
-        acc += norm
+        # Each slice is normalised by its curves' peaks and weighted at the
+        # volume's own scale, then upsampled into the accumulator.
+        peak = vol.scores.max(axis=0)
+        positive = peak > 0
+        factor = 2 ** shift
+        for j in range(d):
+            norm = np.zeros_like(peak)
+            np.divide(vol.scores[j], peak, out=norm, where=positive)
+            norm *= wk
+            if shift:
+                norm = norm.repeat(factor, axis=0)[:h].repeat(factor, axis=1)[:, :w]
+            acc[j] += norm
     acc /= weights.sum()
     return CostVolume(scores=acc, hypotheses=base.hypotheses, scale=0)
 

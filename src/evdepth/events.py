@@ -149,6 +149,10 @@ def save_events_binary(path: str | Path, events: np.ndarray) -> None:
 
 
 def load_events_binary(path: str | Path) -> np.ndarray:
+    size = Path(path).stat().st_size
+    if size % EVENT_DTYPE.itemsize:
+        raise ValueError(f"{path}: {size} bytes is not a whole number of "
+                         f"{EVENT_DTYPE.itemsize}-byte event records")
     return np.fromfile(path, dtype=EVENT_DTYPE)
 
 

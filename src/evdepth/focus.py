@@ -96,16 +96,14 @@ def box_window_sum(grid: np.ndarray, radius: int) -> np.ndarray:
         return grid.copy()
     h, w = grid.shape
     half = radius // 2
-    sat = np.zeros((h + 1, w + 1), dtype=np.float64)
-    np.cumsum(grid, axis=0, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    v = np.arange(h)[:, None]
-    u = np.arange(w)[None, :]
-    v0 = np.maximum(v - half, 0)
-    v1 = np.minimum(v + half + 1, h)
-    u0 = np.maximum(u - half, 0)
-    u1 = np.minimum(u + half + 1, w)
-    return sat[v1, u1] - sat[v0, u1] - sat[v1, u0] + sat[v0, u0]
+    # Zero margins (half + 1 before, half after) clamp every window to the
+    # grid, so the four corners of all windows are plain slices.
+    sat = np.zeros((h + radius, w + radius), dtype=np.float64)
+    sat[half + 1:half + 1 + h, half + 1:half + 1 + w] = grid
+    np.cumsum(sat, axis=0, out=sat)
+    np.cumsum(sat, axis=1, out=sat)
+    return (sat[radius:, radius:] - sat[:h, radius:] - sat[radius:, :w]
+            + sat[:h, :w])
 
 
 def window_energy(combined: np.ndarray, radius: int) -> np.ndarray:

@@ -6,6 +6,21 @@ from pathlib import Path
 import numpy as np
 
 
+def _read_size(fh, path, comments=False) -> tuple[int, int]:
+    """Parse a ``width height`` header line of positive integers."""
+    line = fh.readline()
+    while comments and line.startswith(b"#"):
+        line = fh.readline()
+    fields = line.split()
+    try:
+        w, h = (int(x) for x in fields)
+    except ValueError:
+        w = h = 0
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: bad size line {line!r}")
+    return w, h
+
+
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
     """Grayscale PFM, little-endian, rows stored bottom-up per the format."""
     data = np.asarray(image, dtype=np.float32)
@@ -24,9 +39,14 @@ def read_pfm(path: str | Path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != b"Pf":
             raise ValueError(f"{path}: not a grayscale PFM file (magic {magic!r})")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(fh.readline().strip())
+        w, h = _read_size(fh, path)
+        line = fh.readline()
+        try:
+            scale = float(line)
+        except ValueError:
+            scale = 0.0
+        if not (np.isfinite(scale) and scale != 0):
+            raise ValueError(f"{path}: bad PFM scale line {line!r}")
         count = w * h
         dtype = "<f4" if scale < 0 else ">f4"
         payload = fh.read(count * 4)
@@ -58,12 +78,17 @@ def read_pgm(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"P5":
             raise ValueError(f"{path}: not a binary PGM file")
+        w, h = _read_size(fh, path, comments=True)
         line = fh.readline()
-        while line.startswith(b"#"):
-            line = fh.readline()
-        w, h = (int(x) for x in line.split())
-        maxval = int(fh.readline())
-        if maxval > 255:
-            raise ValueError(f"{path}: only 8-bit PGM supported")
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8, count=w * h)
-    return data.reshape(h, w).copy()
+        try:
+            maxval = int(line)
+        except ValueError:
+            maxval = 0
+        if not 0 < maxval <= 255:
+            raise ValueError(f"{path}: bad PGM maxval line {line!r} "
+                             f"(only 8-bit PGM is supported)")
+        payload = fh.read(w * h)
+    if len(payload) < w * h:
+        raise ValueError(f"{path}: truncated PGM payload: {len(payload)} of "
+                         f"{w * h} bytes")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from evdepth import cli
 from evdepth.cli import main
-from evdepth.imgio import read_pfm
+from evdepth.events import load_events, save_events_binary
+from evdepth.imgio import read_pfm, write_pfm
 from evdepth.motion import CameraIntrinsics, VelocitySample, save_camera, save_track
 from evdepth.synth import SceneSpec, save_scene
 
@@ -198,6 +200,23 @@ def test_bad_event_is_config_error_naming_file(dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_partial_binary_record_is_config_error_naming_file(dataset, tmp_path,
+                                                           capsys):
+    events = tmp_path / "events.bin"
+    save_events_binary(events, load_events(dataset / "sim" / "events.txt"))
+    with open(events, "ab") as fh:
+        fh.write(b"\x00\x01\x02")
+    rc = main(["depth", "--events", str(events),
+               "--camera", str(dataset / "camera.json"),
+               "--track", str(dataset / "track.txt"),
+               "--out", str(tmp_path / "out"), *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: event stream {events}: ")
+    assert "13-byte" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestEval:
     def test_unmatched_truth_directory_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"
@@ -218,6 +237,23 @@ class TestEval:
                    "--truth", str(dataset / "sim" / "truth.pfm")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: truncated")
+
+    @pytest.mark.parametrize("header", [
+        b"PF\n2 2\n-1.0\n", b"Pf\nx 2\n-1.0\n", b"Pf\n\n-1.0\n",
+        b"Pf\n2 2 2\n-1.0\n", b"Pf\n2 0\n-1.0\n", b"Pf\n2 2\nabc\n",
+        b"Pf\n2 2\n\n"],
+        ids=["magic", "size_text", "size_empty", "size_three", "size_zero",
+             "scale_text", "scale_empty"])
+    def test_bad_prediction_header_names_file(self, dataset, tmp_path, capsys,
+                                              header):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        path = pred / "depth_0000.pfm"
+        path.write_bytes(header + np.ones(4, dtype="<f4").tobytes())
+        rc = main(["eval", "--pred", str(pred),
+                   "--truth", str(dataset / "sim" / "truth.pfm")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_empty_prediction_dir_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"
@@ -244,3 +280,24 @@ class TestAblate:
         assert rows[0]["trials"] == 1      # the clean level needs no repeats
         assert rows[1]["trials"] == 2
         assert (out / "ablation.txt").read_text().count("\n") == 3
+
+    def test_truth_shape_checked_before_any_sweep(self, dataset, tmp_path,
+                                                  capsys, monkeypatch):
+        truth = tmp_path / "truth.pfm"
+        write_pfm(truth, np.full((10, 10), 10.0))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the truth was checked")
+
+        monkeypatch.setattr(cli, "estimate_depth", no_sweep)
+        rc = main(["ablate",
+                   "--events", str(dataset / "sim" / "events.txt"),
+                   "--camera", str(dataset / "camera.json"),
+                   "--track", str(dataset / "track.txt"),
+                   "--truth", str(truth),
+                   "--out", str(tmp_path / "out"), *FAST, "--levels", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ground-truth depth {truth}: shape 10x10")
+        assert "64x64" in err
+        assert not (tmp_path / "out").exists()

@@ -1,9 +1,13 @@
 """Hypothesis sets, trend filtering, multi-scale fusion, depth extraction,
 hole filling, and the sweep pipeline."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from evdepth import costvol
 from evdepth.costvol import (
     DEPTH_SENTINEL,
     FLAG_FILLED,
@@ -133,6 +137,73 @@ class TestTrendFilter:
         vol = volume_from_curves([[(0.0, 0.0, 1.0, 0.0, 0.0)]], HYP5)
         with pytest.raises(ValueError):
             trend_filter(vol, iterations=-1)
+
+
+def padded_trend_filter(scores, iterations, peak_alpha):
+    """The trend filter on whole volumes, with a padded concatenation and
+    mask-indexed suppression: the previous implementation, kept as the
+    bitwise reference."""
+    s = scores
+    for _ in range(iterations):
+        padded = np.concatenate([s[:1], s, s[-1:]], axis=0)
+        s = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) * 0.25
+    if peak_alpha > 0 and s.shape[0] >= 3:
+        s = s.copy()
+        inner = s[1:-1]
+        weak = ((inner > s[:-2]) & (inner > s[2:])
+                & (inner < peak_alpha * s.max(axis=0)[None]))
+        inner[weak] = (0.5 * (s[:-2] + s[2:]))[weak]
+    return s
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2])
+@pytest.mark.parametrize("peak_alpha", [0.0, 0.7])
+def test_trend_filter_bitwise_equal_to_padded_reference(iterations, peak_alpha):
+    rng = np.random.default_rng(iterations * 10 + int(peak_alpha * 10))
+    for d in (1, 2, 3, 4, 17):
+        # rounded values give plateaus and ties between neighbors
+        scores = np.round(rng.gamma(1.0, size=(d, 9, 11)), 1)
+        hyp = inverse_depth_hypotheses(2.0, 10.0, d) if d > 1 else \
+            HypothesisSet(depths=np.array([4.0]), mode="linear",
+                          d_min=4.0, d_max=4.0)
+        before = scores.copy()
+        out = trend_filter(CostVolume(scores=scores, hypotheses=hyp),
+                           iterations, peak_alpha)
+        assert np.array_equal(out.scores,
+                              padded_trend_filter(before, iterations, peak_alpha))
+        assert np.array_equal(scores, before)
+
+
+def gather_fuse(volumes, weights):
+    """Fusion with whole-volume normalisation and a (D, H, W) fancy-index
+    upsample: the previous implementation, kept as the bitwise reference."""
+    d, h, w = volumes[0].scores.shape
+    acc = np.zeros((d, h, w), dtype=np.float64)
+    for shift, (vol, wk) in enumerate(zip(volumes, weights)):
+        peak = vol.scores.max(axis=0)
+        norm = np.zeros_like(vol.scores)
+        np.divide(vol.scores, peak[None], out=norm, where=peak[None] > 0)
+        if shift:
+            vi = np.arange(h) >> shift
+            ui = np.arange(w) >> shift
+            norm = norm[:, vi[:, None], ui[None, :]]
+        norm *= wk
+        acc += norm
+    acc /= np.sum(weights)
+    return acc
+
+
+def test_multiscale_fuse_bitwise_equal_to_gather_reference():
+    rng = np.random.default_rng(5)
+    hyp = inverse_depth_hypotheses(2.0, 50.0, 4)
+    volumes = []
+    for k, shape in enumerate([(260, 346), (130, 173), (65, 87)]):
+        scores = rng.gamma(2.0, size=(4, *shape))
+        scores[:, rng.uniform(size=shape) < 0.2] = 0.0    # flat zero curves
+        volumes.append(CostVolume(scores=scores, hypotheses=hyp, scale=k))
+    weights = (0.5, 1.25, 3.0)
+    fused = multiscale_fuse(volumes, weights)
+    assert np.array_equal(fused.scores, gather_fuse(volumes, weights))
 
 
 class TestMultiscaleFuse:
@@ -305,6 +376,24 @@ def tiny_window():
 
 
 TINY_INTR = CameraIntrinsics(f=50.0, cu=8.0, cv=8.0, width=16, height=16)
+WIDE_INTR = CameraIntrinsics(f=50.0, cu=20.0, cv=15.0, width=41, height=30)
+
+
+def random_window(seed, n=300):
+    """``n`` random events inside the 16x16 corner every sensor here has."""
+    rng = np.random.default_rng(seed)
+    ev = make_events(np.sort(rng.uniform(0.0, 0.1, n)),
+                     rng.integers(0, 16, n), rng.integers(0, 16, n),
+                     rng.integers(0, 2, n))
+    return EventWindow(events=ev, t_ref=float(ev["t"][-1]), t_span=0.1)
+
+
+def same_sweep(a, b):
+    """Whether two sweep results are bitwise equal."""
+    return (all(np.array_equal(x.scores, y.scores)
+                for x, y in zip(a.volumes, b.volumes, strict=True))
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("support", "discarded", "mass")))
 
 
 class TestBuildVolume:
@@ -374,6 +463,67 @@ class TestBuildVolume:
             assert np.array_equal(a.scores, b.scores)
         assert np.array_equal(r1.support, r2.support)
         assert np.array_equal(r1.discarded, r2.discarded)
+
+    def test_arena_regrowth_keeps_results(self):
+        # a larger sensor replaces the pool's arena; a smaller one reuses it
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 7)
+        window = random_window(3)
+        sizes = []
+        try:
+            for intr in (TINY_INTR, WIDE_INTR, TINY_INTR):
+                results = [build_volume(window, intr, vel, hyp, SweepConfig(
+                    num_scales=3, focus=FocusConfig(window_radius=3),
+                    workers=workers)) for workers in (1, 2)]
+                sizes.append(len(costvol._POOLS[2][1]))
+                assert same_sweep(*results)
+        finally:
+            shutdown_pools()
+        assert sizes[0] < sizes[1] == sizes[2]
+        assert not costvol._POOLS
+
+    def test_threads_sharing_the_pool_keep_results(self):
+        # two threads sweep different sensors through one pool of more
+        # workers than this host may have cores; a sweep that read another
+        # thread's arena contents would differ from its one-worker result
+        window = random_window(4)
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 9)
+        cases = [(TINY_INTR, VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                                            angular=(0.0, 0.01, 0.0))),
+                 (WIDE_INTR, VelocitySample(t=0.0, linear=(-0.5, 0.4, 0.1),
+                                            angular=(0.02, 0.0, 0.0)))]
+
+        def config(workers):
+            return SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3),
+                               workers=workers)
+
+        refs = [build_volume(window, intr, vel, hyp, config(1))
+                for intr, vel in cases]
+        matched = []
+
+        def sweep(first):
+            for i in range(4):
+                k = (first + i) % 2
+                r = build_volume(window, *cases[k], hyp, config(3))
+                matched.append(same_sweep(r, refs[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=sweep, args=(k,), daemon=True)
+                   for k in (0, 1)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        hung = any(t.is_alive() for t in threads)
+        if not hung:                  # a hung sweep may hold the pool lock
+            shutdown_pools()
+        assert not hung
+        assert matched == [True] * 8
 
     def test_objective_sweep_constant_under_rotation(self):
         vel = VelocitySample(t=0.0, linear=(0.0, 0.0, 0.0),

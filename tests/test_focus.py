@@ -153,6 +153,36 @@ class TestBoxWindowSum:
                                        rtol=1e-12)
 
 
+def gather_box_sum(grid, radius):
+    """Box sum by four clamped 2-D gathers from an integral image: the
+    previous implementation, kept as the bitwise reference."""
+    if radius == 1:
+        return grid.copy()
+    h, w = grid.shape
+    half = radius // 2
+    sat = np.zeros((h + 1, w + 1), dtype=np.float64)
+    np.cumsum(grid, axis=0, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    v = np.arange(h)[:, None]
+    u = np.arange(w)[None, :]
+    v0 = np.maximum(v - half, 0)
+    v1 = np.minimum(v + half + 1, h)
+    u0 = np.maximum(u - half, 0)
+    u1 = np.minimum(u + half + 1, w)
+    return sat[v1, u1] - sat[v0, u1] - sat[v1, u0] + sat[v0, u0]
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (7, 9), (8, 10), (33, 48)])
+@pytest.mark.parametrize("radius", [1, 3, 5, 7])
+def test_box_sum_bitwise_equal_to_gather_reference(shape, radius):
+    rng = np.random.default_rng(radius * 100 + shape[0])
+    # sparse event-like masses, so that many windows sum exact zeros
+    grid = rng.uniform(size=shape) * (rng.uniform(size=shape) < 0.3)
+    out = box_window_sum(grid, radius)
+    assert out.shape == shape
+    assert np.array_equal(out, gather_box_sum(grid, radius))
+
+
 class TestWindowEnergy:
     def test_zero_input(self):
         assert not window_energy(np.zeros((6, 6)), 3).any()

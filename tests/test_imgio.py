@@ -78,3 +78,22 @@ class TestPgm:
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
         with pytest.raises(ValueError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\nx 2\n255\n", b"P5\n\n255\n", b"P5\n# note\n2\n255\n",
+        b"P5\n2 2\nff\n", b"P5\n2 2\n\n", b"P5\n2 2\n65535\n",
+        b"P5\n2 2\n0\n"],
+        ids=["size_text", "size_empty", "size_one", "maxval_text",
+             "maxval_empty", "maxval_16bit", "maxval_zero"])
+    def test_bad_header_names_path(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad"):
+            read_pgm(path)
+
+    def test_truncated_payload_names_path(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        write_pgm(path, np.ones((3, 4)))
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated"):
+            read_pgm(path)
