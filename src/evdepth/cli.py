@@ -59,22 +59,26 @@ def _add_depth_flags(p):
     p.add_argument("--camera", type=Path, help="camera intrinsics JSON")
     p.add_argument("--track", type=Path, help="velocity track file")
     p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--objective", default="fcd", choices=sorted(OBJECTIVE_KINDS))
-    p.add_argument("--fcd-weights", type=_csv_floats, default=(1.0,) * 6,
+    # The pipeline defaults are those of the default library configs.
+    sweep, agg = SweepConfig(), AggregationConfig()
+    p.add_argument("--objective", default=sweep.focus.kind,
+                   choices=sorted(OBJECTIVE_KINDS))
+    p.add_argument("--fcd-weights", type=_csv_floats,
+                   default=sweep.focus.weights.values,
                    help="six comma-separated gradient-channel weights")
-    p.add_argument("--window-radius", type=int, default=5)
-    p.add_argument("--sosa-lambda", type=float, default=1.0)
+    p.add_argument("--window-radius", type=int, default=sweep.focus.window_radius)
+    p.add_argument("--sosa-lambda", type=float, default=sweep.focus.sosa_lambda)
     p.add_argument("--dmin", type=float, default=2.0)
     p.add_argument("--dmax", type=float, default=80.0)
     p.add_argument("--num-hypotheses", type=int, default=64)
-    p.add_argument("--scales", type=int, default=3)
-    p.add_argument("--scale-weights", type=_csv_floats, default=None)
-    p.add_argument("--trend-iters", type=int, default=1)
-    p.add_argument("--peak-alpha", type=float, default=0.7)
-    p.add_argument("--min-support", type=float, default=0.5)
-    p.add_argument("--fill", default="none",
+    p.add_argument("--scales", type=int, default=sweep.num_scales)
+    p.add_argument("--scale-weights", type=_csv_floats, default=agg.scale_weights)
+    p.add_argument("--trend-iters", type=int, default=agg.trend_iterations)
+    p.add_argument("--peak-alpha", type=float, default=agg.peak_alpha)
+    p.add_argument("--min-support", type=float, default=agg.min_support)
+    p.add_argument("--fill", default=agg.fill,
                    choices=["none", "nearest-valid", "median-window"])
-    p.add_argument("--splat", default="bilinear", choices=["bilinear", "nearest"])
+    p.add_argument("--splat", default=sweep.splat, choices=["bilinear", "nearest"])
     p.add_argument("--max-count", type=int, default=80_000)
     p.add_argument("--max-interval", type=float, default=0.2)
     p.add_argument("--noise", type=float, default=0.0,
@@ -86,7 +90,6 @@ def build_parser():
                                      description="plane-sweep depth from event streams")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = {}
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     _add_global_flags(sim)
@@ -125,34 +128,53 @@ def build_parser():
     return parser
 
 
+def _config_value(parser, action, value):
+    """Parse one --config value as the command line parses its flag: null
+    keeps a default of None, a list stands for a comma-separated value, and
+    anything else goes through the flag's type and choices."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0 and isinstance(value, bool):   # --verbose
+        return value
+    if isinstance(value, list) and action.type is _csv_floats:
+        value = ",".join(str(x) for x in value)
+    if (action.nargs == 0 or isinstance(value, bool)
+            or not isinstance(value, (str, int, float))):
+        raise ConfigError(f"{action.dest}: {value!r} is not a value of "
+                          f"{action.option_strings[0]}")
+    try:
+        parsed = parser._get_value(action, str(value))
+        parser._check_value(action, parsed)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"{action.dest}: {exc.message}") from exc
+    return parsed
+
+
 def _merge_config(argv, parser):
-    """Apply --config file values as defaults, keeping flag precedence."""
+    """Apply --config file values as defaults, keeping flag precedence.  A
+    manifest's ``config`` object is read; keys that are not flags are ignored."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return argv
-    if not known.config.is_file():
-        raise ConfigError(f"config file not found: {known.config}")
-    with open(known.config) as fh:
-        raw = json.load(fh)
-    raw = raw.get("config", raw)
+    path = probe.parse_known_args(argv)[0].config
     subparser = parser.subcommands.get(argv[0] if argv else "")
-    if subparser is None:
-        return argv
-    keys = {a.dest for a in subparser._actions}
-    coerced = {}
-    for key, value in raw.items():
-        if key not in keys or key == "config":
-            continue
-        if isinstance(value, str) and key not in ("objective", "fill",
-                                                  "splat", "format"):
-            value = Path(value)
-        if isinstance(value, list):
-            value = tuple(value)
-        coerced[key] = value
-    subparser.set_defaults(**coerced)
-    return argv
+    if path is None or subparser is None:
+        return
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if isinstance(raw, dict) and "config" in raw:
+            raw = raw["config"]
+        if not isinstance(raw, dict):
+            raise ConfigError("not a JSON object")
+        actions = {a.dest: a for a in subparser._actions
+                   if a.dest not in ("help", "config")}
+        subparser.set_defaults(**{
+            key: _config_value(subparser, actions[key], value)
+            for key, value in raw.items() if key in actions})
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
 
 
 def _require(args, *names):
@@ -171,26 +193,21 @@ def _parse_input(loader, path, what):
     try:
         return loader(path)
     except ValueError as exc:
-        raise ConfigError(f"{what} {path}: {exc}") from exc
+        # A loader that names the file starts its message with the path.
+        msg = str(exc) if str(exc).startswith(str(path)) else f"{path}: {exc}"
+        raise ConfigError(f"{what} {msg}") from exc
 
 
-def _write_manifest(out_dir, command, args, skip=("config", "verbose")):
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or key == "command":
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        if isinstance(value, tuple):
-            value = list(value)
-        cfg[key] = value
+def _write_manifest(out_dir, command, args):
+    """Write the resolved flags to manifest.json, which --config reads back."""
+    cfg = {key: value for key, value in vars(args).items()
+           if key not in ("command", "config", "verbose")}
     manifest = {"tool": "evdepth", "version": __version__,
                 "command": command, "config": cfg}
-    path = Path(out_dir) / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    with open(Path(out_dir) / "manifest.json", "w") as fh:
+        # Tuples are written as lists and paths (via ``default``) as strings.
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-    return path
 
 
 def _load_rig(args) -> CameraRig:
@@ -202,6 +219,7 @@ def _load_rig(args) -> CameraRig:
 
 def _load_stream(path, intrinsics):
     """Load a non-empty event stream that fits the camera's sensor."""
+    _check_file(path, "event stream")
     events = _parse_input(load_events, path, "event stream")
     if len(events) == 0:
         raise ConfigError(f"event stream is empty: {path}")
@@ -239,45 +257,36 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _focus_config(args) -> FocusConfig:
+def _pipeline_configs(args):
+    """The hypothesis set and the sweep and aggregation configs of a run.
+
+    The configs check their own fields; only the checks that span flags or
+    have no config field are made here."""
     if args.objective not in VOLUME_KINDS:
         raise ConfigError(
             f"objective {args.objective!r} has no per-pixel score map; "
             f"depth estimation supports {', '.join(sorted(VOLUME_KINDS))}")
-    if len(args.fcd_weights) != 6:
-        raise ConfigError("--fcd-weights needs exactly six values")
-    if args.window_radius < 1 or args.window_radius % 2 == 0:
-        raise ConfigError("--window-radius must be odd and >= 1")
-    return FocusConfig(kind=args.objective,
-                       weights=FocusWeights(values=args.fcd_weights),
-                       window_radius=args.window_radius,
-                       sosa_lambda=args.sosa_lambda)
-
-
-def _pipeline_configs(args):
-    focus = _focus_config(args)
-    if not (0 < args.dmin < args.dmax):
-        raise ConfigError("need 0 < --dmin < --dmax")
-    if args.num_hypotheses < 1:
-        raise ConfigError("--num-hypotheses must be >= 1")
-    if args.scales < 1:
-        raise ConfigError("--scales must be >= 1")
     if args.scale_weights is not None and len(args.scale_weights) != args.scales:
         raise ConfigError(f"--scale-weights needs {args.scales} values")
     if args.trend_iters < 0:
         raise ConfigError("--trend-iters must be >= 0")
     if args.noise < 0:
         raise ConfigError("--noise must be >= 0")
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    hyp = inverse_depth_hypotheses(args.dmin, args.dmax, args.num_hypotheses)
-    sweep = SweepConfig(focus=focus, num_scales=args.scales,
-                        splat=args.splat, workers=args.threads)
-    agg = AggregationConfig(scale_weights=args.scale_weights,
-                            trend_iterations=args.trend_iters,
-                            peak_alpha=args.peak_alpha,
-                            min_support=args.min_support,
-                            fill=args.fill)
+    try:
+        hyp = inverse_depth_hypotheses(args.dmin, args.dmax, args.num_hypotheses)
+        focus = FocusConfig(kind=args.objective,
+                            weights=FocusWeights(values=args.fcd_weights),
+                            window_radius=args.window_radius,
+                            sosa_lambda=args.sosa_lambda)
+        sweep = SweepConfig(focus=focus, num_scales=args.scales,
+                            splat=args.splat, workers=args.threads)
+        agg = AggregationConfig(scale_weights=args.scale_weights,
+                                trend_iterations=args.trend_iters,
+                                peak_alpha=args.peak_alpha,
+                                min_support=args.min_support,
+                                fill=args.fill)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return hyp, sweep, agg
 
 
@@ -310,7 +319,6 @@ def _sample_curves(fused, depth_map, max_pixels=8):
 
 def cmd_depth(args) -> int:
     _require(args, "events", "camera", "track", "out")
-    _check_file(args.events, "event stream")
     hyp, sweep, agg = _pipeline_configs(args)
     rig = _load_rig(args)
     events = _load_stream(args.events, rig.intrinsics)
@@ -402,10 +410,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     _require(args, "events", "camera", "track", "truth", "out")
-    _check_file(args.events, "event stream")
     _check_file(args.truth, "ground-truth depth")
-    if not args.levels:
-        raise ConfigError("--levels must not be empty")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     if any(lv < 0 for lv in args.levels):

@@ -36,7 +36,6 @@ FLAG_FILLED = 2
 class HypothesisSet:
     """Ordered metric depth candidates of the sweep."""
     depths: np.ndarray        # strictly increasing, all > 0
-    mode: str                 # "inverse" or "linear"
     d_min: float
     d_max: float
 
@@ -76,13 +75,13 @@ def inverse_depth_hypotheses(d_min: float, d_max: float, count: int) -> Hypothes
     if not (0 < d_min < d_max):
         raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
     inv = np.linspace(1.0 / d_min, 1.0 / d_max, count)
-    return HypothesisSet(depths=1.0 / inv, mode="inverse", d_min=d_min, d_max=d_max)
+    return HypothesisSet(depths=1.0 / inv, d_min=d_min, d_max=d_max)
 
 
 def linear_hypotheses(d_min: float, d_max: float, count: int) -> HypothesisSet:
     if not (0 < d_min < d_max):
         raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
-    return HypothesisSet(depths=np.linspace(d_min, d_max, count), mode="linear",
+    return HypothesisSet(depths=np.linspace(d_min, d_max, count),
                          d_min=d_min, d_max=d_max)
 
 
@@ -91,7 +90,6 @@ class CostVolume:
     """Per-pixel focus scores over hypotheses at one pyramid scale."""
     scores: np.ndarray        # (D, H, W), higher = better
     hypotheses: HypothesisSet
-    scale: int = 0
 
     def __post_init__(self):
         if self.scores.ndim != 3 or self.scores.shape[0] != len(self.hypotheses):
@@ -137,7 +135,6 @@ class AggregationConfig:
     peak_alpha: float = 0.7
     min_support: float = 0.5
     fill: str = "none"
-    fill_radius: int = 5
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +256,7 @@ def build_volume(window: EventWindow, intrinsics: CameraIntrinsics,
             pool.map(_sweep_task, tasks)
             out = [view.copy() for view in _sweep_arrays(layout, arena)]
     *scores, support, discarded, mass = out
-    volumes = [CostVolume(scores=s, hypotheses=hypotheses, scale=k)
-               for k, s in enumerate(scores)]
+    volumes = [CostVolume(scores=s, hypotheses=hypotheses) for s in scores]
     return SweepResult(volumes=volumes, support=support, discarded=discarded,
                        mass=mass)
 
@@ -356,7 +352,7 @@ def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
                 norm = norm.repeat(factor, axis=0)[:h].repeat(factor, axis=1)[:, :w]
             acc[j] += norm
     acc /= weights.sum()
-    return CostVolume(scores=acc, hypotheses=base.hypotheses, scale=0)
+    return CostVolume(scores=acc, hypotheses=base.hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +451,5 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
                 for vol in result.volumes]
     fused = multiscale_fuse(filtered, agg.scale_weights)
     depth_map = extract_depth(fused, result.support, agg.min_support)
-    if agg.fill != "none":
-        depth_map = fill_depth(depth_map, agg.fill, agg.fill_radius)
+    depth_map = fill_depth(depth_map, agg.fill)
     return depth_map, result, fused

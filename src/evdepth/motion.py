@@ -212,7 +212,7 @@ def load_camera(path: str | Path) -> CameraIntrinsics:
                                 cv=float(cfg["cv"]), width=int(cfg["width"]),
                                 height=int(cfg["height"]))
     except KeyError as exc:
-        raise ValueError(f"camera config {path} missing key {exc}") from exc
+        raise ValueError(f"{path}: missing key {exc}") from exc
 
 
 def save_camera(path: str | Path, intrinsics: CameraIntrinsics) -> None:

@@ -31,18 +31,13 @@ SCENE_KINDS = ("plane", "two_plane", "striped")
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Desk-scale scene geometry (fronto-parallel planes, vertical edges).
-
-    contrast_threshold is the log-intensity step a real sensor would need
-    to fire; the geometric generator records it but does not use it.
-    """
+    """Desk-scale scene geometry (fronto-parallel planes, vertical edges)."""
     kind: str
     depths: tuple[float, ...]
     split_col: int | None = None     # two_plane: first column of the far plane
     period: int | None = None        # striped: texture period in px
     band: tuple[int, int] | None = None  # striped: [start, stop) texture columns
     edge_spacing: int = 8            # plane / two_plane texture spacing in px
-    contrast_threshold: float = 0.2
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -106,10 +101,13 @@ def save_scene(path, scene: SceneSpec) -> None:
 def load_scene(path) -> SceneSpec:
     with open(path) as fh:
         raw = json.load(fh)
-    raw["depths"] = tuple(raw["depths"])
-    if raw.get("band") is not None:
-        raw["band"] = tuple(raw["band"])
-    return SceneSpec(**raw)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a scene spec is a JSON object")
+    raw.pop("contrast_threshold", None)      # older files carry it; unused
+    try:
+        return SceneSpec(**raw)
+    except TypeError as exc:                 # unknown or missing keys
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _quantize_times(u_ref, v_ref, flow, dt, duration, jitter, rng, width, height):

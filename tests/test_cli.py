@@ -2,20 +2,25 @@
 manifest replay and failure exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evdepth import cli
 from evdepth.cli import main
+from evdepth.costvol import shutdown_pools
 from evdepth.events import load_events, save_events_binary
 from evdepth.imgio import read_pfm, write_pfm
 from evdepth.motion import CameraIntrinsics, VelocitySample, save_camera, save_track
 from evdepth.synth import SceneSpec, save_scene
 
-FAST = ["--dmin", "2", "--dmax", "50", "--num-hypotheses", "16",
-        "--scales", "1", "--threads", "1",
-        "--fcd-weights", "1,0,1,0,0,0"]
+BASE = ["--dmin", "2", "--dmax", "50", "--num-hypotheses", "16",
+        "--scales", "1", "--threads", "1"]
+FAST = [*BASE, "--fcd-weights", "1,0,1,0,0,0"]
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +43,29 @@ def dataset(tmp_path_factory):
     return root
 
 
+def inputs(dataset):
+    return ["--events", str(dataset / "sim" / "events.txt"),
+            "--camera", str(dataset / "camera.json"),
+            "--track", str(dataset / "track.txt")]
+
+
 def run_depth(dataset, out, extra=()):
-    return main(["depth",
-                 "--events", str(dataset / "sim" / "events.txt"),
-                 "--camera", str(dataset / "camera.json"),
-                 "--track", str(dataset / "track.txt"),
-                 "--out", str(out), *FAST, *extra])
+    return main(["depth", *inputs(dataset), "--out", str(out), *FAST, *extra])
+
+
+def assert_same_run(a, b):
+    """Two depth runs resolved the same config (apart from --out) and wrote
+    bitwise-equal maps."""
+    configs = [json.loads((d / "manifest.json").read_text())["config"]
+               for d in (a, b)]
+    for cfg in configs:
+        del cfg["out"]
+    assert configs[0] == configs[1]
+    names = sorted(p.name for p in a.glob("*_*.p[fg]m"))
+    assert names == sorted(p.name for p in b.glob("*_*.p[fg]m"))
+    assert names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestSimulate:
@@ -68,6 +90,23 @@ class TestSimulate:
                    "--camera", str(dataset / "camera.json"),
                    "--track", str(dataset / "track.txt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("raw", [
+        {"kind": "plane", "depths": [10.0], "edge_spacng": 10},
+        {"kind": "plane"}], ids=["unknown_key", "missing_key"])
+    def test_bad_scene_key_is_config_error(self, dataset, tmp_path, capsys,
+                                           raw):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scene", str(scene),
+                   "--camera", str(dataset / "camera.json"),
+                   "--track", str(dataset / "track.txt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scene spec {scene}: ")
+        assert err.count(str(scene)) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_binary_format(self, dataset, tmp_path):
         rc = main(["simulate", "--scene", str(dataset / "scene.json"),
@@ -156,6 +195,60 @@ class TestDepth:
         assert manifest["config"]["num_hypotheses"] == 8   # flag wins
         assert manifest["config"]["scales"] == 1           # config applies
 
+    def test_every_pipeline_flag_replays_from_manifest(self, dataset, tmp_path):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        try:
+            assert main([
+                "depth", *inputs(dataset), "--out", str(first),
+                "--threads", "2", "--seed", "5", "--objective", "var",
+                "--fcd-weights", "1,0,2,0,0,0.5", "--window-radius", "3",
+                "--sosa-lambda", "2.5", "--dmin", "3", "--dmax", "40",
+                "--num-hypotheses", "12", "--scales", "2",
+                "--scale-weights", "1,0.5", "--trend-iters", "2",
+                "--peak-alpha", "0.5", "--min-support", "1.5",
+                "--fill", "nearest-valid", "--splat", "nearest",
+                "--max-count", "2000", "--max-interval", "0.05",
+                "--noise", "0.1"]) == 0
+            assert main(["depth", "--config", str(first / "manifest.json"),
+                         "--out", str(replay)]) == 0
+        finally:
+            shutdown_pools()
+        assert_same_run(first, replay)
+        assert len(list(first.glob("depth_*.pfm"))) > 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("window_radius", "3"), ("fcd_weights", "1,0,1,0,0,0")])
+    def test_config_string_runs_like_its_flag(self, dataset, tmp_path, key,
+                                              value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        flag = "--" + key.replace("_", "-")
+        assert main(["depth", *inputs(dataset), "--out", str(tmp_path / "a"),
+                     *BASE, flag, value]) == 0
+        assert main(["depth", "--config", str(cfg), *inputs(dataset),
+                     "--out", str(tmp_path / "b"), *BASE]) == 0
+        assert_same_run(tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("text", [
+        '{"fill": "bogus"}', '{"splat": "bogus"}', '{"num_hypotheses": 2.5}',
+        '{"max_count": 1.5}', '{"threads": "two"}', "[1, 2]", "{fill: none"],
+        ids=["fill", "splat", "num_hypotheses", "max_count", "threads",
+             "not_an_object", "not_json"])
+    def test_bad_config_file_is_config_error(self, dataset, tmp_path, capsys,
+                                             text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = run_depth(dataset, tmp_path / "out", ["--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_all_zero_fcd_weights_is_config_error(self, dataset, tmp_path):
+        rc = run_depth(dataset, tmp_path / "out",
+                       ["--fcd-weights", "0,0,0,0,0,0"])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
     def test_scalar_only_objective_is_config_error(self, dataset, tmp_path):
         rc = run_depth(dataset, tmp_path / "out", ["--objective", "sti"])
         assert rc == 2
@@ -170,6 +263,37 @@ class TestDepth:
                    "--track", str(dataset / "track.txt"),
                    "--out", str(tmp_path / "out"), *FAST])
         assert rc == 2
+
+
+DEPTH_DESTS = sorted(a.dest for a in cli.build_parser().subcommands["depth"]._actions
+                     if a.dest not in ("help", "config"))
+# Integers and strings stay small: a valid but huge --num-hypotheses would
+# allocate its hypothesis grid, which is not what this test is about.
+NUMBERS = st.integers(-10_000, 10_000) | st.floats()
+SCALARS = (st.none() | st.booleans() | NUMBERS | NUMBERS.map(str)
+           | st.text(max_size=6)
+           | st.sampled_from(["fcd", "sti", "nearest", "median-window",
+                              "1,0,1,0,0,0", "1,2"]))
+CONFIGS = st.dictionaries(st.sampled_from(DEPTH_DESTS),
+                          SCALARS | st.lists(SCALARS, max_size=7), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIGS)
+def test_any_config_file_gives_configs_or_config_error(raw):
+    """Whatever a --config object holds, resolving it into the pipeline
+    configs either succeeds or raises ConfigError (exit 2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["depth", "--config", str(cfg)]
+        parser = cli.build_parser()
+        try:
+            cli._merge_config(argv, parser)
+            hyp, sweep, agg = cli._pipeline_configs(parser.parse_args(argv))
+        except cli.ConfigError:
+            return
+    assert len(hyp) >= 1 and sweep.workers >= 1
 
 
 def write_bad_stream(dataset, path, u=None, t=None):
@@ -213,7 +337,22 @@ def test_partial_binary_record_is_config_error_naming_file(dataset, tmp_path,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: event stream {events}: ")
+    assert err.count(str(events)) == 1
     assert "13-byte" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_text_line_names_file_once(dataset, tmp_path, capsys):
+    events = tmp_path / "bad.txt"
+    events.write_text("# t u v p\n0.0 1 2 1\n0.1 1 2\n")
+    rc = main(["depth", "--events", str(events),
+               "--camera", str(dataset / "camera.json"),
+               "--track", str(dataset / "track.txt"),
+               "--out", str(tmp_path / "out"), *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: event stream {events}:3: expected ")
+    assert err.count(str(events)) == 1
     assert not (tmp_path / "out").exists()
 
 

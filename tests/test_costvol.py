@@ -71,17 +71,14 @@ class TestHypothesisSet:
         assert not a.matches(inverse_depth_hypotheses(2.0, 10.0, 6))
 
     def test_single_hypothesis_allowed(self):
-        hyp = HypothesisSet(depths=np.array([4.0]), mode="linear",
-                            d_min=4.0, d_max=4.0)
+        hyp = HypothesisSet(depths=np.array([4.0]), d_min=4.0, d_max=4.0)
         assert len(hyp) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HypothesisSet(depths=np.array([3.0, 2.0]), mode="linear",
-                          d_min=2.0, d_max=3.0)
+            HypothesisSet(depths=np.array([3.0, 2.0]), d_min=2.0, d_max=3.0)
         with pytest.raises(ValueError):
-            HypothesisSet(depths=np.array([-1.0, 2.0]), mode="linear",
-                          d_min=1.0, d_max=2.0)
+            HypothesisSet(depths=np.array([-1.0, 2.0]), d_min=1.0, d_max=2.0)
         with pytest.raises(ValueError):
             inverse_depth_hypotheses(5.0, 2.0, 4)
         with pytest.raises(ValueError):
@@ -164,8 +161,7 @@ def test_trend_filter_bitwise_equal_to_padded_reference(iterations, peak_alpha):
         # rounded values give plateaus and ties between neighbors
         scores = np.round(rng.gamma(1.0, size=(d, 9, 11)), 1)
         hyp = inverse_depth_hypotheses(2.0, 10.0, d) if d > 1 else \
-            HypothesisSet(depths=np.array([4.0]), mode="linear",
-                          d_min=4.0, d_max=4.0)
+            HypothesisSet(depths=np.array([4.0]), d_min=4.0, d_max=4.0)
         before = scores.copy()
         out = trend_filter(CostVolume(scores=scores, hypotheses=hyp),
                            iterations, peak_alpha)
@@ -197,10 +193,10 @@ def test_multiscale_fuse_bitwise_equal_to_gather_reference():
     rng = np.random.default_rng(5)
     hyp = inverse_depth_hypotheses(2.0, 50.0, 4)
     volumes = []
-    for k, shape in enumerate([(260, 346), (130, 173), (65, 87)]):
+    for shape in [(260, 346), (130, 173), (65, 87)]:
         scores = rng.gamma(2.0, size=(4, *shape))
         scores[:, rng.uniform(size=shape) < 0.2] = 0.0    # flat zero curves
-        volumes.append(CostVolume(scores=scores, hypotheses=hyp, scale=k))
+        volumes.append(CostVolume(scores=scores, hypotheses=hyp))
     weights = (0.5, 1.25, 3.0)
     fused = multiscale_fuse(volumes, weights)
     assert np.array_equal(fused.scores, gather_fuse(volumes, weights))
@@ -231,7 +227,7 @@ class TestMultiscaleFuse:
         base = CostVolume(scores=np.zeros((2, 4, 4)), hypotheses=hyp2)
         coarse_scores = np.zeros((2, 2, 2))
         coarse_scores[:, 0, 0] = (1.0, 2.0)
-        coarse = CostVolume(scores=coarse_scores, hypotheses=hyp2, scale=1)
+        coarse = CostVolume(scores=coarse_scores, hypotheses=hyp2)
         out = multiscale_fuse([base, coarse], scale_weights=(0.0, 1.0))
         np.testing.assert_allclose(out.scores[0, :2, :2], np.full((2, 2), 0.5))
         np.testing.assert_allclose(out.scores[1, :2, :2], np.ones((2, 2)))
@@ -261,7 +257,7 @@ class TestMultiscaleFuse:
     def test_non_halved_shape_rejected(self):
         hyp2 = linear_hypotheses(1.0, 2.0, 2)
         base = CostVolume(scores=np.zeros((2, 4, 4)), hypotheses=hyp2)
-        odd = CostVolume(scores=np.zeros((2, 3, 3)), hypotheses=hyp2, scale=1)
+        odd = CostVolume(scores=np.zeros((2, 3, 3)), hypotheses=hyp2)
         with pytest.raises(ValueError):
             multiscale_fuse([base, odd])
 
@@ -433,7 +429,6 @@ class TestBuildVolume:
                                        focus=FocusConfig(window_radius=3)))
         assert [v.scores.shape for v in res.volumes] == [
             (4, 16, 16), (4, 8, 8), (4, 4, 4)]
-        assert [v.scale for v in res.volumes] == [0, 1, 2]
         assert res.support.shape == (4, 16, 16)
         assert res.discarded.shape == (4,)
 
@@ -542,7 +537,7 @@ class TestBuildVolume:
             tiny_window(), TINY_INTR, vel, hyp,
             SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3)))
         assert dm.depth.shape == (16, 16)
-        assert fused.scale == 0
+        assert fused.scores.shape == (6, 16, 16)
         assert (dm.flags[dm.valid] == FLAG_MEASURED).all()
         assert (dm.depth[~dm.valid] == DEPTH_SENTINEL).all()
         inside = dm.valid & (dm.depth >= hyp.d_min) & (dm.depth <= hyp.d_max)

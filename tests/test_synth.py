@@ -1,6 +1,8 @@
 """Geometric event generation with exact ground truth, and the grading
 helpers built on it."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,30 @@ class TestSceneSpec:
         path = tmp_path / "scene.json"
         save_scene(path, scene)
         assert load_scene(path) == scene
+
+    def test_old_file_with_contrast_threshold_loads(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "kind": "plane", "depths": [10.0], "split_col": None,
+            "period": None, "band": None, "edge_spacing": 10,
+            "contrast_threshold": 0.2}))
+        assert load_scene(path) == PLANE
+
+    @pytest.mark.parametrize("raw, words", [
+        ({"kind": "plane", "depths": [10.0], "edge_spacng": 10},
+         ["unexpected", "'edge_spacng'"]),
+        ({"kind": "plane"}, ["missing", "'depths'"]),
+        ({"kind": "plane", "depths": 10.0}, ["not iterable"]),
+        ([10.0], ["a scene spec is a JSON object"])],
+        ids=["unknown", "missing", "depths_not_a_list", "not_an_object"])
+    def test_bad_keys_name_the_file(self, tmp_path, raw, words):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as info:
+            load_scene(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert all(word in message for word in words), message
 
 
 class TestGenerate:
