@@ -17,8 +17,7 @@ from .focus import (FocusConfig, FocusWeights, fcd_score_map, objective,
 from .costvol import (AggregationConfig, CostVolume, DepthMap, HypothesisSet,
                       SweepConfig, SweepResult, build_volume, estimate_depth,
                       extract_depth, fill_depth, inverse_depth_hypotheses,
-                      linear_hypotheses, multiscale_fuse, objective_sweep,
-                      trend_filter)
+                      multiscale_fuse, objective_sweep, trend_filter)
 from .synth import GroundTruth, SceneSpec, generate, oracle_depth_error
 from .metrics import MetricReport, evaluate
 from .imgio import read_pfm, read_pgm, write_pfm, write_pgm
@@ -37,7 +36,7 @@ __all__ = [
     "AggregationConfig", "CostVolume", "DepthMap", "HypothesisSet",
     "SweepConfig", "SweepResult", "build_volume", "estimate_depth",
     "extract_depth", "fill_depth", "inverse_depth_hypotheses",
-    "linear_hypotheses", "multiscale_fuse", "objective_sweep", "trend_filter",
+    "multiscale_fuse", "objective_sweep", "trend_filter",
     "GroundTruth", "SceneSpec", "generate", "oracle_depth_error",
     "MetricReport", "evaluate",
     "read_pfm", "read_pgm", "write_pfm", "write_pgm",

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .costvol import (AggregationConfig, SweepConfig, estimate_depth,
-                      inverse_depth_hypotheses)
+from .costvol import (AggregationConfig, SweepConfig, check_scales,
+                      estimate_depth, inverse_depth_hypotheses)
 from .events import (check_stream, form_windows, load_events,
                      save_events_binary, save_events_text)
-from .focus import OBJECTIVE_KINDS, VOLUME_KINDS, FocusConfig, FocusWeights
+from .focus import OBJECTIVE_KINDS, FocusConfig, FocusWeights
 from .imgio import read_pfm, write_pfm, write_pgm
 from .metrics import aggregate_reports, evaluate
 from .motion import (CameraRig, inject_velocity_noise, interpolate_velocity,
@@ -48,8 +48,6 @@ def _csv_floats(text):
 def _add_global_flags(p):
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file with defaults for any flag (flags override)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the hypothesis sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
 
@@ -59,6 +57,8 @@ def _add_depth_flags(p):
     p.add_argument("--camera", type=Path, help="camera intrinsics JSON")
     p.add_argument("--track", type=Path, help="velocity track file")
     p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for the hypothesis sweep")
     # The pipeline defaults are those of the default library configs.
     sweep, agg = SweepConfig(), AggregationConfig()
     p.add_argument("--objective", default=sweep.focus.kind,
@@ -183,13 +183,11 @@ def _require(args, *names):
             raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
-def _check_file(path, what):
+def _parse_input(loader, path, what):
+    """Load an input file; a missing or malformed file is a configuration
+    error naming the file."""
     if not Path(path).is_file():
         raise ConfigError(f"{what} not found: {path}")
-
-
-def _parse_input(loader, path, what):
-    """Wrap input-file parse failures as configuration errors."""
     try:
         return loader(path)
     except ValueError as exc:
@@ -211,28 +209,34 @@ def _write_manifest(out_dir, command, args):
 
 
 def _load_rig(args) -> CameraRig:
-    _check_file(args.camera, "camera config")
-    _check_file(args.track, "velocity track")
-    return CameraRig(intrinsics=_parse_input(load_camera, args.camera, "camera config"),
-                     track=_parse_input(load_track, args.track, "velocity track"))
+    intrinsics = _parse_input(load_camera, args.camera, "camera config")
+    # The rig checks the track's timestamps, so its errors name the track.
+    return _parse_input(lambda path: CameraRig(intrinsics, load_track(path)),
+                        args.track, "velocity track")
 
 
-def _load_stream(path, intrinsics):
-    """Load a non-empty event stream that fits the camera's sensor."""
-    _check_file(path, "event stream")
-    events = _parse_input(load_events, path, "event stream")
-    if len(events) == 0:
-        raise ConfigError(f"event stream is empty: {path}")
+def _load_windows(args):
+    """The camera rig, checked against --scales, and the windows of a
+    non-empty event stream that fits its sensor."""
+    rig = _load_rig(args)
     try:
-        check_stream(events, intrinsics.width, intrinsics.height)
+        check_scales(args.scales, rig.intrinsics)
     except ValueError as exc:
-        raise ConfigError(f"event stream {path}: {exc}") from exc
-    return events
+        raise ConfigError(f"--scales: {exc}") from exc
+    events = _parse_input(load_events, args.events, "event stream")
+    if len(events) == 0:
+        raise ConfigError(f"event stream is empty: {args.events}")
+    try:
+        check_stream(events, *rig.intrinsics.resolution)
+    except ValueError as exc:
+        raise ConfigError(f"event stream {args.events}: {exc}") from exc
+    windows = form_windows(events, args.max_count, args.max_interval)
+    log.info("%d events -> %d windows", len(events), len(windows))
+    return rig, windows
 
 
 def cmd_simulate(args) -> int:
     _require(args, "scene", "camera", "track", "out")
-    _check_file(args.scene, "scene spec")
     if args.duration <= 0:
         raise ConfigError("--duration must be positive")
     scene = _parse_input(load_scene, args.scene, "scene spec")
@@ -262,10 +266,6 @@ def _pipeline_configs(args):
 
     The configs check their own fields; only the checks that span flags or
     have no config field are made here."""
-    if args.objective not in VOLUME_KINDS:
-        raise ConfigError(
-            f"objective {args.objective!r} has no per-pixel score map; "
-            f"depth estimation supports {', '.join(sorted(VOLUME_KINDS))}")
     if args.scale_weights is not None and len(args.scale_weights) != args.scales:
         raise ConfigError(f"--scale-weights needs {args.scales} values")
     if args.trend_iters < 0:
@@ -309,24 +309,18 @@ def _noise_seed(base_seed, level_index, window_index, trial) -> int:
 def _sample_curves(fused, depth_map, max_pixels=8):
     """Score curves at a few well-supported pixels, for the diagnostics file."""
     ys, xs = np.nonzero(depth_map.valid)
-    curves = {}
-    if len(ys):
-        step = max(len(ys) // max_pixels, 1)
-        for y, x in zip(ys[::step][:max_pixels], xs[::step][:max_pixels]):
-            curves[f"{y},{x}"] = [round(float(s), 6) for s in fused.scores[:, y, x]]
-    return curves
+    step = max(len(ys) // max_pixels, 1)
+    return {f"{y},{x}": [round(float(s), 6) for s in fused.scores[:, y, x]]
+            for y, x in zip(ys[::step][:max_pixels], xs[::step][:max_pixels])}
 
 
 def cmd_depth(args) -> int:
     _require(args, "events", "camera", "track", "out")
     hyp, sweep, agg = _pipeline_configs(args)
-    rig = _load_rig(args)
-    events = _load_stream(args.events, rig.intrinsics)
+    rig, windows = _load_windows(args)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "depth", args)
 
-    windows = form_windows(events, args.max_count, args.max_interval)
-    log.info("%d events -> %d windows", len(events), len(windows))
     for i, window in enumerate(windows):
         t0 = time.perf_counter()
         vel = _window_velocity(rig, window, args.noise,
@@ -410,21 +404,18 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     _require(args, "events", "camera", "track", "truth", "out")
-    _check_file(args.truth, "ground-truth depth")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     if any(lv < 0 for lv in args.levels):
         raise ConfigError("noise levels must be >= 0")
     hyp, sweep, agg = _pipeline_configs(args)
-    rig = _load_rig(args)
-    events = _load_stream(args.events, rig.intrinsics)
+    rig, windows = _load_windows(args)
     truth = _parse_input(read_pfm, args.truth, "ground-truth depth")
     sensor = (rig.intrinsics.height, rig.intrinsics.width)
     if truth.shape != sensor:
         raise ConfigError(f"ground-truth depth {args.truth}: shape "
                           f"{truth.shape[1]}x{truth.shape[0]} does not match the "
                           f"camera's {sensor[1]}x{sensor[0]} sensor")
-    windows = form_windows(events, args.max_count, args.max_interval)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "ablate", args)
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .events import EventWindow
-from .focus import FocusConfig, box_window_sum, objective, volume_score_map
+from .focus import (VOLUME_KINDS, FocusConfig, box_window_sum, objective,
+                    volume_score_map)
 from .iwe import accumulate, build_pyramid
 from .motion import CameraIntrinsics, EventWarp, VelocitySample
 
@@ -36,8 +37,6 @@ FLAG_FILLED = 2
 class HypothesisSet:
     """Ordered metric depth candidates of the sweep."""
     depths: np.ndarray        # strictly increasing, all > 0
-    d_min: float
-    d_max: float
 
     def __post_init__(self):
         d = np.asarray(self.depths, dtype=np.float64)
@@ -75,14 +74,7 @@ def inverse_depth_hypotheses(d_min: float, d_max: float, count: int) -> Hypothes
     if not (0 < d_min < d_max):
         raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
     inv = np.linspace(1.0 / d_min, 1.0 / d_max, count)
-    return HypothesisSet(depths=1.0 / inv, d_min=d_min, d_max=d_max)
-
-
-def linear_hypotheses(d_min: float, d_max: float, count: int) -> HypothesisSet:
-    if not (0 < d_min < d_max):
-        raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
-    return HypothesisSet(depths=np.linspace(d_min, d_max, count),
-                         d_min=d_min, d_max=d_max)
+    return HypothesisSet(depths=1.0 / inv)
 
 
 @dataclass(frozen=True)
@@ -100,10 +92,13 @@ class CostVolume:
 @dataclass(frozen=True)
 class DepthMap:
     depth: np.ndarray         # (H, W) meters, DEPTH_SENTINEL where not valid
-    valid: np.ndarray         # (H, W) bool, pixel had event support
     confidence: np.ndarray    # (H, W) peak-to-mean score ratio
     flags: np.ndarray         # (H, W) uint8: 0 invalid, 1 measured, 2 filled
-    hypotheses: HypothesisSet
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(H, W) bool: the pixel had event support (its depth is measured)."""
+        return self.flags == FLAG_MEASURED
 
 
 @dataclass(frozen=True)
@@ -122,6 +117,10 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.focus.kind not in VOLUME_KINDS:
+            raise ValueError(
+                f"objective {self.focus.kind!r} has no per-pixel score map; "
+                f"depth estimation supports {', '.join(sorted(VOLUME_KINDS))}")
         if self.num_scales < 1:
             raise ValueError("num_scales must be >= 1")
         if self.workers < 1:
@@ -135,6 +134,20 @@ class AggregationConfig:
     peak_alpha: float = 0.7
     min_support: float = 0.5
     fill: str = "none"
+
+    def __post_init__(self):
+        if self.scale_weights is not None:
+            w = np.asarray(self.scale_weights, dtype=np.float64)
+            if not ((w >= 0).all() and 0 < w.sum() < np.inf):    # NaN fails too
+                raise ValueError("scale weights must be finite and non-negative "
+                                 "with positive sum")
+
+
+def check_scales(num_scales: int, intrinsics: CameraIntrinsics) -> None:
+    """Reject a pyramid whose coarsest level, halved rounding up, is under 3x3."""
+    w, h = intrinsics.resolution
+    if -(-min(w, h) // 2 ** (num_scales - 1)) < 3:
+        raise ValueError(f"{num_scales} scales shrink the {w}x{h} sensor below 3x3")
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +249,7 @@ def build_volume(window: EventWindow, intrinsics: CameraIntrinsics,
                  velocity: VelocitySample, hypotheses: HypothesisSet,
                  config: SweepConfig = SweepConfig()) -> SweepResult:
     """Run the full hypothesis sweep; returns one score volume per scale."""
-    min_dim = min(intrinsics.height, intrinsics.width)
-    if min_dim // 2 ** (config.num_scales - 1) < 3:
-        raise ValueError(f"{config.num_scales} scales leave the coarsest level "
-                         f"below the 3x3 gradient minimum for {min_dim}px")
+    check_scales(config.num_scales, intrinsics)
     depths = hypotheses.depths
     d = len(depths)
     layout, nbytes = _sweep_layout(d, intrinsics.resolution, config.num_scales)
@@ -316,7 +326,8 @@ def trend_filter(volume: CostVolume, iterations: int = 1,
 
 def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
     """Weighted per-curve-normalized average of the per-scale volumes at
-    full resolution (coarse scales upsampled nearest-neighbor)."""
+    full resolution (coarse scales upsampled nearest-neighbor).  Volume k
+    is pyramid level k of volume 0, as ``build_volume`` returns them."""
     if not volumes:
         raise ValueError("need at least one volume to fuse")
     base = volumes[0]
@@ -330,25 +341,22 @@ def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
         raise ValueError("scale weights must be non-negative with positive sum")
 
     acc = np.zeros((d, h, w), dtype=np.float64)
-    for vol, wk in zip(volumes, weights):
+    for k, (vol, wk) in enumerate(zip(volumes, weights)):
         if not vol.hypotheses.matches(base.hypotheses):
             raise ValueError("hypothesis sets differ across scales")
-        for shift in range(h.bit_length() + 1):
-            if vol.scores.shape[1:] == (-(-h // 2 ** shift), -(-w // 2 ** shift)):
-                break
-        else:
-            raise ValueError(f"volume shape {vol.scores.shape} is not a "
-                             f"power-of-two reduction of {(d, h, w)}")
+        if vol.scores.shape != (d, -(-h // 2 ** k), -(-w // 2 ** k)):
+            raise ValueError(f"volume {k} has shape {vol.scores.shape}, not "
+                             f"pyramid level {k} of {(d, h, w)}")
         # Each slice is normalised by its curves' peaks and weighted at the
         # volume's own scale, then upsampled into the accumulator.
         peak = vol.scores.max(axis=0)
         positive = peak > 0
-        factor = 2 ** shift
+        factor = 2 ** k
         for j in range(d):
             norm = np.zeros_like(peak)
             np.divide(vol.scores[j], peak, out=norm, where=positive)
             norm *= wk
-            if shift:
+            if k:
                 norm = norm.repeat(factor, axis=0)[:h].repeat(factor, axis=1)[:, :w]
             acc[j] += norm
     acc /= weights.sum()
@@ -362,10 +370,9 @@ def extract_depth(volume: CostVolume, support: np.ndarray,
                   min_support: float = 0.5) -> DepthMap:
     """Winner-take-all with sub-bin parabolic refinement in inverse depth.
 
-    ``support`` is the windowed event mass, either (D, H, W) to be gathered
-    at each pixel's winning hypothesis or already reduced to (H, W).
-    Confidence is the peak-to-mean ratio of each pixel's curve, 1 where the
-    curve is flat.
+    ``support`` is the (D, H, W) windowed event mass of the sweep, read at
+    each pixel's winning hypothesis.  Confidence is the peak-to-mean ratio
+    of each pixel's curve, 1 where the curve is flat.
     """
     scores = volume.scores
     d, h, w = scores.shape
@@ -388,9 +395,7 @@ def extract_depth(volume: CostVolume, support: np.ndarray,
     q_refined = q_at + np.where(offset >= 0, offset * step_up, offset * step_dn)
     depth = 1.0 / q_refined
 
-    if support.ndim == 3:
-        support = support[idx, vv, uu]
-    valid = support.astype(np.float64) >= min_support
+    valid = support[idx, vv, uu].astype(np.float64) >= min_support
 
     mean = scores.mean(axis=0)
     confidence = np.ones((h, w), dtype=np.float64)
@@ -398,8 +403,7 @@ def extract_depth(volume: CostVolume, support: np.ndarray,
 
     depth = np.where(valid, depth, DEPTH_SENTINEL)
     flags = np.where(valid, FLAG_MEASURED, FLAG_INVALID).astype(np.uint8)
-    return DepthMap(depth=depth, valid=valid, confidence=confidence,
-                    flags=flags, hypotheses=volume.hypotheses)
+    return DepthMap(depth=depth, confidence=confidence, flags=flags)
 
 
 def fill_depth(depth_map: DepthMap, policy: str = "none",
@@ -409,7 +413,8 @@ def fill_depth(depth_map: DepthMap, policy: str = "none",
     a (2*radius+1)^2 window and leaves isolated pixels invalid."""
     if policy == "none":
         return depth_map
-    holes = ~depth_map.valid
+    valid = depth_map.valid
+    holes = ~valid
     if not holes.any():
         return depth_map
     depth = depth_map.depth.copy()
@@ -426,15 +431,13 @@ def fill_depth(depth_map: DepthMap, policy: str = "none",
         for y, x in zip(ys, xs):
             y0, y1 = max(y - radius, 0), min(y + radius + 1, h)
             x0, x1 = max(x - radius, 0), min(x + radius + 1, w)
-            patch = depth_map.depth[y0:y1, x0:x1][depth_map.valid[y0:y1, x0:x1]]
+            patch = depth_map.depth[y0:y1, x0:x1][valid[y0:y1, x0:x1]]
             if patch.size:
                 depth[y, x] = np.median(patch)
                 flags[y, x] = FLAG_FILLED
     else:
         raise ValueError(f"unknown fill policy {policy!r}")
-    return DepthMap(depth=depth, valid=depth_map.valid,
-                    confidence=depth_map.confidence, flags=flags,
-                    hypotheses=depth_map.hypotheses)
+    return DepthMap(depth=depth, confidence=depth_map.confidence, flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,25 @@ def inject_velocity_noise(velocity: VelocitySample, level: float, seed: int,
 # File formats: JSON camera config, whitespace-separated velocity track.
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
+    """Intrinsics from a JSON object of numbers f, cu, cv and whole numbers
+    width and height; every error starts with the path."""
     with open(path) as fh:
         cfg = json.load(fh)
     try:
-        return CameraIntrinsics(f=float(cfg["f"]), cu=float(cfg["cu"]),
-                                cv=float(cfg["cv"]), width=int(cfg["width"]),
-                                height=int(cfg["height"]))
+        if not isinstance(cfg, dict):
+            raise ValueError("a camera config is a JSON object")
+        values = {key: cfg[key] for key in ("f", "cu", "cv", "width", "height")}
+        for key, x in values.items():
+            whole = key in ("width", "height")
+            if (isinstance(x, bool) or not isinstance(x, (int, float))
+                    or whole and not float(x).is_integer()):
+                raise ValueError(f"{key} {x!r} is not a {'whole ' * whole}number")
+            values[key] = int(x) if whole else float(x)
+        return CameraIntrinsics(**values)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_camera(path: str | Path, intrinsics: CameraIntrinsics) -> None:
@@ -230,12 +241,16 @@ def load_track(path: str | Path) -> tuple[VelocitySample, ...]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [float(x) for x in line.split()]
-            if len(parts) != 7:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 't tx ty tz wx wy wz'")
-            samples.append(VelocitySample(t=parts[0], linear=tuple(parts[1:4]),
-                                          angular=tuple(parts[4:7])))
+            try:
+                parts = [float(x) for x in line.split()]
+                if len(parts) != 7:
+                    raise ValueError("expected 't tx ty tz wx wy wz'")
+                samples.append(VelocitySample(t=parts[0], linear=tuple(parts[1:4]),
+                                              angular=tuple(parts[4:7])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    if not samples:
+        raise ValueError(f"{path}: no velocity samples")
     return tuple(samples)
 
 

@@ -113,11 +113,11 @@ def load_scene(path) -> SceneSpec:
 def _quantize_times(u_ref, v_ref, flow, dt, duration, jitter, rng, width, height):
     """Snap uniformly drawn offsets onto integer-pixel trajectory crossings.
 
-    ``u_ref`` may be fractional (edges sit at sub-pixel phases); events land
-    on integer pixels at the instants the trajectory crosses them, so the
-    warp at the true depth recovers the reference point exactly.  Returns
-    integer event pixels, the resolved time offsets (<= 0), and a keep mask
-    for events that stay inside the sensor and the window.
+    Events land on integer pixels at the instants the trajectory from
+    (``u_ref``, ``v_ref``) crosses them, so the warp at the true depth
+    recovers the reference point exactly.  Returns integer event pixels, the
+    resolved time offsets (<= 0), and a keep mask for events that stay
+    inside the sensor and the window.
     """
     n = dt.shape[0]
     lookup_u = min(max(int(round(u_ref)), 0), width - 1)
@@ -154,16 +154,12 @@ def _quantize_times(u_ref, v_ref, flow, dt, duration, jitter, rng, width, height
 
 def generate(scene: SceneSpec, rig: CameraRig, duration: float,
              events_per_edge: int, seed: int, jitter: float = 0.0,
-             t_ref: float | None = None, edge_phase: bool = False
-             ) -> tuple[EventWindow, GroundTruth]:
+             t_ref: float | None = None) -> tuple[EventWindow, GroundTruth]:
     """Emit an ideal event stream for the scene over [t_ref - duration, t_ref].
 
     Every edge sample (edge column x integer row) emits ``events_per_edge``
     events at uniformly random times along its trajectory; portions of a
-    trajectory that leave the sensor emit nothing.  With ``edge_phase`` each
-    edge is offset by a random sub-pixel amount, so different edges' warped
-    streaks never share one integer grid (trajectories then collapse to
-    fractional points, still exactly).
+    trajectory that leave the sensor emit nothing.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -177,22 +173,17 @@ def generate(scene: SceneSpec, rig: CameraRig, duration: float,
     cols = scene.edge_columns(intr.width)
     col_depth = scene.depth_at_column(cols)
     flows = {d: motion_field(intr, velocity, d) for d in np.unique(col_depth)}
+    # seeds[-2] is unused; it keeps seeds[-1], the polarities' seed, in place.
     seeds = np.random.SeedSequence(seed).spawn(len(cols) * intr.height + 2)
-
-    phase_rng = np.random.default_rng(seeds[-2])
-    if edge_phase:
-        phases = phase_rng.uniform(0.0, 1.0, size=len(cols))
-    else:
-        phases = np.zeros(len(cols))
 
     all_t, all_u, all_v, all_d, all_traj = [], [], [], [], []
     sample_id = 0
-    for col, phase, d_true in zip(cols, phases, col_depth):
+    for col, d_true in zip(cols, col_depth):
         flow = flows[d_true]
         for row in range(intr.height):
             rng = np.random.default_rng(seeds[sample_id])
             dt = -rng.uniform(0.0, duration, size=events_per_edge)
-            u, v, dt, keep = _quantize_times(col + phase, row, flow, dt,
+            u, v, dt, keep = _quantize_times(col, row, flow, dt,
                                              duration, jitter, rng,
                                              intr.width, intr.height)
             if keep.any():

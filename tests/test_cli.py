@@ -356,6 +356,60 @@ def test_bad_text_line_names_file_once(dataset, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+@pytest.mark.parametrize("flags, message", [
+    (["--scales", "6"], "error: --scales: 6 scales shrink the 64x64 sensor"),
+    (["--scales", "1", "--scale-weights", "0"], "error: scale weights must be")],
+    ids=["too_deep", "zero_weight"])
+def test_bad_scales_are_config_errors(dataset, tmp_path, capsys, command,
+                                      flags, message):
+    extra = (["--truth", str(dataset / "sim" / "truth.pfm"), "--levels", "0"]
+             if command == "ablate" else [])
+    rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
+               *FAST, *flags, *extra])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+CAMERA = {"f": 200.0, "cu": 32.0, "cv": 32.0, "width": 64, "height": 64}
+
+
+@pytest.mark.parametrize("what, text, after_path", [
+    ("camera config", "[1, 2]", ": a camera config is a JSON object"),
+    ("camera config", json.dumps({**CAMERA, "width": None}), ": width None "),
+    ("camera config", json.dumps({**CAMERA, "f": [1]}), ": f [1] "),
+    ("camera config", json.dumps({**CAMERA, "width": 64.5}), ": width 64.5 "),
+    ("velocity track", "0.0 1 0 0 0 0 abc\n", ":1: could not convert"),
+    ("velocity track", "# t\n0.0 1 0 0 0 0 nan\n", ":2: velocity sample"),
+    ("velocity track", "0.1 1 0 0 0 0 0\n0.0 1 0 0 0 0 0\n",
+     ": velocity track timestamps must be strictly increasing"),
+    ("velocity track", "# t tx ty tz wx wy wz\n", ": no velocity samples")],
+    ids=["camera_not_object", "camera_null", "camera_list", "camera_fraction",
+         "track_word", "track_nan", "track_order", "track_empty"])
+def test_bad_camera_or_track_is_config_error_naming_file(
+        dataset, tmp_path, capsys, what, text, after_path):
+    bad = tmp_path / "bad_input"
+    bad.write_text(text)
+    camera = bad if what == "camera config" else dataset / "camera.json"
+    track = bad if what == "velocity track" else dataset / "track.txt"
+    rc = main(["depth", "--events", str(dataset / "sim" / "events.txt"),
+               "--camera", str(camera), "--track", str(track),
+               "--out", str(tmp_path / "out"), *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {bad}{after_path}")
+    assert err.count(str(bad)) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_threads_is_not_a_flag_of_commands_without_a_sweep(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 2
+
+
 class TestEval:
     def test_unmatched_truth_directory_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"

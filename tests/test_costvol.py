@@ -23,7 +23,6 @@ from evdepth.costvol import (
     extract_depth,
     fill_depth,
     inverse_depth_hypotheses,
-    linear_hypotheses,
     multiscale_fuse,
     objective_sweep,
     shutdown_pools,
@@ -50,10 +49,6 @@ class TestHypothesisSet:
         assert hyp.depths[0] == 2.0
         np.testing.assert_allclose(hyp.depths[-1], 50.0, rtol=1e-12)
 
-    def test_linear_sampling_uniform_in_depth(self):
-        hyp = linear_hypotheses(1.0, 9.0, 5)
-        np.testing.assert_allclose(hyp.depths, [1.0, 3.0, 5.0, 7.0, 9.0])
-
     def test_bin_of_maps_each_hypothesis_to_itself(self):
         hyp = inverse_depth_hypotheses(2.0, 50.0, 32)
         np.testing.assert_array_equal(hyp.bin_of(hyp.depths), np.arange(32))
@@ -71,18 +66,18 @@ class TestHypothesisSet:
         assert not a.matches(inverse_depth_hypotheses(2.0, 10.0, 6))
 
     def test_single_hypothesis_allowed(self):
-        hyp = HypothesisSet(depths=np.array([4.0]), d_min=4.0, d_max=4.0)
+        hyp = HypothesisSet(depths=np.array([4.0]))
         assert len(hyp) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HypothesisSet(depths=np.array([3.0, 2.0]), d_min=2.0, d_max=3.0)
+            HypothesisSet(depths=np.array([3.0, 2.0]))
         with pytest.raises(ValueError):
-            HypothesisSet(depths=np.array([-1.0, 2.0]), d_min=1.0, d_max=2.0)
+            HypothesisSet(depths=np.array([-1.0, 2.0]))
         with pytest.raises(ValueError):
             inverse_depth_hypotheses(5.0, 2.0, 4)
         with pytest.raises(ValueError):
-            linear_hypotheses(0.0, 2.0, 4)
+            inverse_depth_hypotheses(0.0, 2.0, 4)
 
     def test_volume_shape_checked(self):
         with pytest.raises(ValueError):
@@ -161,7 +156,7 @@ def test_trend_filter_bitwise_equal_to_padded_reference(iterations, peak_alpha):
         # rounded values give plateaus and ties between neighbors
         scores = np.round(rng.gamma(1.0, size=(d, 9, 11)), 1)
         hyp = inverse_depth_hypotheses(2.0, 10.0, d) if d > 1 else \
-            HypothesisSet(depths=np.array([4.0]), d_min=4.0, d_max=4.0)
+            HypothesisSet(depths=np.array([4.0]))
         before = scores.copy()
         out = trend_filter(CostVolume(scores=scores, hypotheses=hyp),
                            iterations, peak_alpha)
@@ -223,7 +218,7 @@ class TestMultiscaleFuse:
         np.testing.assert_allclose(two.scores, one.scores, rtol=1e-12)
 
     def test_coarse_level_upsampled_nearest_neighbor(self):
-        hyp2 = linear_hypotheses(1.0, 2.0, 2)
+        hyp2 = HypothesisSet(depths=np.linspace(1.0, 2.0, 2))
         base = CostVolume(scores=np.zeros((2, 4, 4)), hypotheses=hyp2)
         coarse_scores = np.zeros((2, 2, 2))
         coarse_scores[:, 0, 0] = (1.0, 2.0)
@@ -255,11 +250,20 @@ class TestMultiscaleFuse:
             multiscale_fuse([vol], scale_weights=(0.0,))
 
     def test_non_halved_shape_rejected(self):
-        hyp2 = linear_hypotheses(1.0, 2.0, 2)
+        hyp2 = HypothesisSet(depths=np.linspace(1.0, 2.0, 2))
         base = CostVolume(scores=np.zeros((2, 4, 4)), hypotheses=hyp2)
         odd = CostVolume(scores=np.zeros((2, 3, 3)), hypotheses=hyp2)
         with pytest.raises(ValueError):
             multiscale_fuse([base, odd])
+
+    def test_volume_k_must_be_pyramid_level_k(self):
+        hyp2 = HypothesisSet(depths=np.linspace(1.0, 2.0, 2))
+        levels = [CostVolume(scores=np.ones((2, 5, 9)), hypotheses=hyp2),
+                  CostVolume(scores=np.ones((2, 3, 5)), hypotheses=hyp2),
+                  CostVolume(scores=np.ones((2, 2, 3)), hypotheses=hyp2)]
+        assert multiscale_fuse(levels).scores.shape == (2, 5, 9)
+        with pytest.raises(ValueError, match="pyramid level 1"):
+            multiscale_fuse([levels[0], levels[2], levels[1]])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -269,7 +273,7 @@ class TestMultiscaleFuse:
 class TestExtractDepth:
     def test_symmetric_peak_no_offset(self):
         vol = volume_from_curves([[(0.0, 1.0, 3.0, 1.0, 0.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((1, 1)))
+        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
         np.testing.assert_allclose(dm.depth[0, 0], 1.0 / 0.3, rtol=1e-12)
         assert dm.valid[0, 0]
         assert dm.flags[0, 0] == FLAG_MEASURED
@@ -278,30 +282,30 @@ class TestExtractDepth:
         # lo=1, peak=3, hi=2: offset = (1-2)/(2*(1-6+2)) = 1/6 of the
         # inverse-depth step toward the larger neighbor
         vol = volume_from_curves([[(0.0, 1.0, 3.0, 2.0, 0.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((1, 1)))
+        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
         np.testing.assert_allclose(dm.depth[0, 0], 1.0 / (0.3 - 0.1 / 6.0),
                                    rtol=1e-12)
 
     def test_boundary_peak_skips_refinement(self):
         vol = volume_from_curves([[(3.0, 1.0, 0.0, 0.0, 0.0),
                                    (0.0, 0.0, 0.0, 1.0, 3.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((1, 2)))
+        dm = extract_depth(vol, support=np.ones((5, 1, 2)))
         assert dm.depth[0, 0] == 2.0
         assert dm.depth[0, 1] == 10.0
 
     def test_confidence_is_peak_to_mean_ratio(self):
         vol = volume_from_curves([[(0.0, 1.0, 3.0, 2.0, 0.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((1, 1)))
+        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
         np.testing.assert_allclose(dm.confidence[0, 0], 3.0 / 1.2, rtol=1e-12)
 
     def test_flat_zero_curve_confidence_one(self):
         vol = volume_from_curves([[(0.0,) * 5]], HYP5)
-        dm = extract_depth(vol, support=np.ones((1, 1)))
+        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
         assert dm.confidence[0, 0] == 1.0
 
     def test_min_support_invalidates(self):
         vol = volume_from_curves([[(0.0, 1.0, 3.0, 1.0, 0.0)] * 2], HYP5)
-        support = np.array([[0.4, 0.6]])
+        support = np.broadcast_to([[0.4, 0.6]], (5, 1, 2))
         dm = extract_depth(vol, support=support, min_support=0.5)
         assert not dm.valid[0, 0]
         assert dm.depth[0, 0] == DEPTH_SENTINEL
@@ -324,9 +328,8 @@ class TestFillDepth:
         depth = np.asarray([depth_row], dtype=np.float64)
         valid = np.asarray([valid_row], dtype=bool)
         flags = np.where(valid, FLAG_MEASURED, FLAG_INVALID).astype(np.uint8)
-        return DepthMap(depth=depth, valid=valid,
-                        confidence=np.ones_like(depth), flags=flags,
-                        hypotheses=HYP5)
+        return DepthMap(depth=depth, confidence=np.ones_like(depth),
+                        flags=flags)
 
     def test_none_returns_input(self):
         dm = self.make_map([5.0, DEPTH_SENTINEL], [True, False])
@@ -441,6 +444,21 @@ class TestBuildVolume:
             build_volume(tiny_window(), intr, vel, hyp,
                          SweepConfig(num_scales=3))
 
+    def test_odd_sensor_coarsest_level_rounds_up(self):
+        # an 11x11 pyramid is 11, 6 and 3 px: three scales fit, four do not
+        intr = CameraIntrinsics(f=50.0, cu=5.0, cv=5.0, width=11, height=11)
+        vel = VelocitySample(t=0.0, linear=(0.5, 0.0, 0.0),
+                             angular=(0.0, 0.0, 0.0))
+        ev = make_events([0.0, 0.05, 0.1], [2, 5, 9], [3, 6, 10], [1, 0, 1])
+        window = EventWindow(events=ev, t_ref=0.1, t_span=0.1)
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 4)
+        res = build_volume(window, intr, vel, hyp, SweepConfig(
+            num_scales=3, focus=FocusConfig(window_radius=3)))
+        assert [v.scores.shape for v in res.volumes] == [
+            (4, 11, 11), (4, 6, 6), (4, 3, 3)]
+        with pytest.raises(ValueError, match="4 scales"):
+            build_volume(window, intr, vel, hyp, SweepConfig(num_scales=4))
+
     def test_worker_count_does_not_change_results(self):
         vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
                              angular=(0.0, 0.01, 0.0))
@@ -540,7 +558,8 @@ class TestBuildVolume:
         assert fused.scores.shape == (6, 16, 16)
         assert (dm.flags[dm.valid] == FLAG_MEASURED).all()
         assert (dm.depth[~dm.valid] == DEPTH_SENTINEL).all()
-        inside = dm.valid & (dm.depth >= hyp.d_min) & (dm.depth <= hyp.d_max)
+        inside = (dm.valid & (dm.depth >= hyp.depths[0])
+                  & (dm.depth <= hyp.depths[-1]))
         np.testing.assert_array_equal(inside, dm.valid)
 
     def test_config_validation(self):
@@ -548,3 +567,10 @@ class TestBuildVolume:
             SweepConfig(num_scales=0)
         with pytest.raises(ValueError):
             SweepConfig(workers=0)
+        for kind in ("sti", "sosa"):
+            with pytest.raises(ValueError, match="no per-pixel score map"):
+                SweepConfig(focus=FocusConfig(kind=kind))
+        for weights in [(0.0,), (-1.0, 2.0), (np.nan,), (np.inf, 1.0)]:
+            with pytest.raises(ValueError, match="scale weights"):
+                AggregationConfig(scale_weights=weights)
+        AggregationConfig(scale_weights=(0.0, 1.0))
