@@ -15,9 +15,10 @@ from .iwe import Iwe, accumulate, build_pyramid
 from .focus import (FocusConfig, FocusWeights, fcd_score_map, objective,
                     weighted_gradients)
 from .costvol import (AggregationConfig, CostVolume, DepthMap, HypothesisSet,
-                      SweepConfig, SweepResult, build_volume, estimate_depth,
-                      extract_depth, fill_depth, inverse_depth_hypotheses,
-                      multiscale_fuse, objective_sweep, trend_filter)
+                      SweepConfig, SweepResult, SweepSummary, build_volume,
+                      estimate_depth, extract_depth, fill_depth,
+                      inverse_depth_hypotheses, multiscale_fuse,
+                      objective_sweep, trend_filter)
 from .synth import GroundTruth, SceneSpec, generate, oracle_depth_error
 from .metrics import MetricReport, evaluate
 from .imgio import read_pfm, read_pgm, write_pfm, write_pgm
@@ -34,7 +35,8 @@ __all__ = [
     "FocusConfig", "FocusWeights", "fcd_score_map", "objective",
     "weighted_gradients",
     "AggregationConfig", "CostVolume", "DepthMap", "HypothesisSet",
-    "SweepConfig", "SweepResult", "build_volume", "estimate_depth",
+    "SweepConfig", "SweepResult", "SweepSummary", "build_volume",
+    "estimate_depth",
     "extract_depth", "fill_depth", "inverse_depth_hypotheses",
     "multiscale_fuse", "objective_sweep", "trend_filter",
     "GroundTruth", "SceneSpec", "generate", "oracle_depth_error",

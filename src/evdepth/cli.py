@@ -264,14 +264,20 @@ def cmd_simulate(args) -> int:
 def _pipeline_configs(args):
     """The hypothesis set and the sweep and aggregation configs of a run.
 
-    The configs check their own fields; only the checks that span flags or
-    have no config field are made here."""
+    The configs check their own fields.  The checks made here span flags,
+    have no config field, or (--threads) must name the flag, not the field."""
     if args.scale_weights is not None and len(args.scale_weights) != args.scales:
         raise ConfigError(f"--scale-weights needs {args.scales} values")
     if args.trend_iters < 0:
         raise ConfigError("--trend-iters must be >= 0")
     if args.noise < 0:
         raise ConfigError("--noise must be >= 0")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    if args.max_count < 1:
+        raise ConfigError(f"--max-count must be >= 1, got {args.max_count}")
+    if not args.max_interval > 0:
+        raise ConfigError(f"--max-interval must be > 0, got {args.max_interval}")
     try:
         hyp = inverse_depth_hypotheses(args.dmin, args.dmax, args.num_hypotheses)
         focus = FocusConfig(kind=args.objective,
@@ -306,12 +312,11 @@ def _noise_seed(base_seed, level_index, window_index, trial) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sample_curves(fused, depth_map, max_pixels=8):
-    """Score curves at a few well-supported pixels, for the diagnostics file."""
-    ys, xs = np.nonzero(depth_map.valid)
-    step = max(len(ys) // max_pixels, 1)
-    return {f"{y},{x}": [round(float(s), 6) for s in fused.scores[:, y, x]]
-            for y, x in zip(ys[::step][:max_pixels], xs[::step][:max_pixels])}
+def _sample_curves(summary):
+    """The fused curves ``estimate_depth`` sampled at a few measured pixels,
+    for the diagnostics file."""
+    return {f"{y},{x}": [round(float(s), 6) for s in curve]
+            for (y, x), curve in summary.curves.items()}
 
 
 def cmd_depth(args) -> int:
@@ -325,8 +330,8 @@ def cmd_depth(args) -> int:
         t0 = time.perf_counter()
         vel = _window_velocity(rig, window, args.noise,
                                _noise_seed(args.seed, 0, i, 0))
-        depth_map, result, fused = estimate_depth(window, rig.intrinsics, vel,
-                                                  hyp, sweep, agg)
+        depth_map, summary = estimate_depth(window, rig.intrinsics, vel, hyp,
+                                            sweep, agg)
         elapsed = time.perf_counter() - t0
         write_pfm(args.out / f"depth_{i:04d}.pfm", depth_map.depth)
         write_pgm(args.out / f"mask_{i:04d}.pgm", depth_map.flags)
@@ -337,10 +342,10 @@ def cmd_depth(args) -> int:
             "t_span": window.t_span,
             "n_events": len(window.events),
             "n_valid_pixels": int(depth_map.valid.sum()),
-            "discarded": [int(x) for x in result.discarded],
-            "iwe_mass": [round(float(m), 6) for m in result.mass],
+            "discarded": [int(x) for x in summary.discarded],
+            "iwe_mass": [round(float(m), 6) for m in summary.mass],
             "hypotheses": [round(float(d), 6) for d in hyp.depths],
-            "score_curves": _sample_curves(fused, depth_map),
+            "score_curves": _sample_curves(summary),
             "timing_s": round(elapsed, 4),
             "workers": args.threads,
         }
@@ -349,8 +354,6 @@ def cmd_depth(args) -> int:
             fh.write("\n")
         log.info("window %d: %d events, %.2fs, %d valid pixels",
                  i, len(window.events), elapsed, int(depth_map.valid.sum()))
-        # Free this window's volumes before the next window is swept.
-        del depth_map, result, fused
     print(f"depth: {len(windows)} window(s) -> {args.out}")
     return 0
 
@@ -427,8 +430,8 @@ def cmd_ablate(args) -> int:
             for wi, window in enumerate(windows):
                 vel = _window_velocity(rig, window, level,
                                        _noise_seed(args.seed, li, wi, trial))
-                depth_map, _, _ = estimate_depth(window, rig.intrinsics, vel,
-                                                 hyp, sweep, agg)
+                depth_map, _ = estimate_depth(window, rig.intrinsics, vel,
+                                              hyp, sweep, agg)
                 per_window.append(evaluate(depth_map.depth, truth,
                                            max_depth=args.max_depth))
             trial_reports.append(aggregate_reports(per_window))

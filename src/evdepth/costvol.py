@@ -5,10 +5,10 @@ and scored per pixel; the per-scale score volumes are then refined by an
 along-hypothesis trend filter, fused across scales, and read out by
 winner-take-all with sub-bin parabolic refinement in inverse depth.
 
-Hypothesis slices are independent, so the sweep parallelizes across a
-process pool; every hypothesis is computed by the same code path on the
-same inputs regardless of worker count, which keeps results bitwise
-deterministic.
+Hypothesis slices are independent, and every reduction over hypotheses is
+per pixel, so a process pool sweeps by hypotheses and then aggregates by
+rows; every value is computed by the same code path on the same inputs
+regardless of worker count, which keeps results bitwise deterministic.
 """
 from __future__ import annotations
 
@@ -110,6 +110,15 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
+class SweepSummary:
+    """What ``estimate_depth`` reports beside the depth map."""
+    winner: np.ndarray              # (H, W) int64 fused winning hypothesis
+    curves: dict                    # (y, x) -> (D,) fused curve, <= 8 pixels
+    discarded: np.ndarray           # (D,) out-of-bounds tally per hypothesis
+    mass: np.ndarray                # (D,) in-bounds event mass per hypothesis
+
+
+@dataclass(frozen=True)
 class SweepConfig:
     focus: FocusConfig = field(default_factory=FocusConfig)
     num_scales: int = 3
@@ -153,30 +162,35 @@ def check_scales(num_scales: int, intrinsics: CameraIntrinsics) -> None:
 # ---------------------------------------------------------------------------
 # Sweep execution
 
-def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config):
-    """Score hypotheses ``lo..hi-1`` into the preallocated sweep outputs
-    ``out``: the per-scale score volumes, then support, discarded and mass."""
-    *scores, support, discarded, mass = out
-    warp = EventWarp(window, intrinsics, velocity)
-    for j in range(lo, hi):
-        iwe = accumulate(warp(depths[j]), intrinsics.resolution,
-                         splat=config.splat)
-        levels = build_pyramid(iwe.grid, config.num_scales)
-        for k, grid in enumerate(levels):
-            scores[k][j] = volume_score_map(grid, config.focus)
-        support[j] = box_window_sum(iwe.grid, config.focus.window_radius)
-        discarded[j] = iwe.discarded
-        mass[j] = iwe.mass
+@dataclass(frozen=True)
+class _WindowArrays:
+    """Everything one window writes: the sweep's outputs, then the (H, W)
+    maps that the band readout fills."""
+    scores: list              # per-scale (D, Hk, Wk) float64 score volumes
+    support: np.ndarray       # (D, H, W) float32
+    discarded: np.ndarray     # (D,) int64
+    mass: np.ndarray          # (D,) float64
+    depth: np.ndarray         # (H, W) float64
+    confidence: np.ndarray    # (H, W) float64
+    winner: np.ndarray        # (H, W) int64
+    flags: np.ndarray         # (H, W) uint8
+
+    @property
+    def sweep(self) -> list[np.ndarray]:
+        """The sweep's outputs, in ``build_volume``'s order."""
+        return [*self.scores, self.support, self.discarded, self.mass]
 
 
-def _sweep_layout(d, resolution, num_scales):
-    """(dtype, shape, byte offset) of each sweep output, packed 8-byte
-    aligned in one buffer, and the buffer's size.  Pyramid level k is the
-    grid ceil-halved k times."""
+def _window_layout(d, resolution, num_scales):
+    """(dtype, shape, byte offset) of each of a window's arrays, in
+    ``_WindowArrays`` order and packed 8-byte aligned in one buffer, and the
+    buffer's size.  Pyramid level k is the grid ceil-halved k times."""
     w, h = resolution
     specs = [(np.float64, (d, -(-h // 2 ** k), -(-w // 2 ** k)))
              for k in range(num_scales)]
-    specs += [(np.float32, (d, h, w)), (np.int64, (d,)), (np.float64, (d,))]
+    specs += [(np.float32, (d, h, w)), (np.int64, (d,)), (np.float64, (d,)),
+              (np.float64, (h, w)), (np.float64, (h, w)), (np.int64, (h, w)),
+              (np.uint8, (h, w))]
     layout, offset = [], 0
     for dtype, shape in specs:
         layout.append((dtype, shape, offset))
@@ -185,56 +199,135 @@ def _sweep_layout(d, resolution, num_scales):
     return layout, offset
 
 
-def _sweep_arrays(layout, buffer=None) -> list[np.ndarray]:
-    """The sweep outputs as views of ``buffer``, or freshly allocated."""
+def _window_arrays(layout, buffer=None) -> _WindowArrays:
+    """A window's arrays as views of ``buffer``, or freshly allocated."""
     if buffer is None:
-        return [np.empty(shape, dtype) for dtype, shape, _ in layout]
-    return [np.frombuffer(buffer, dtype, int(np.prod(shape)), offset).reshape(shape)
-            for dtype, shape, offset in layout]
+        arrays = [np.empty(shape, dtype) for dtype, shape, _ in layout]
+    else:
+        arrays = [np.frombuffer(buffer, dtype, int(np.prod(shape)), offset
+                                ).reshape(shape)
+                  for dtype, shape, offset in layout]
+    n = len(arrays) - 7
+    return _WindowArrays(arrays[:n], *arrays[n:])
 
 
-# Each pool is forked with its own anonymous shared-memory arena; workers
-# write their hypotheses there and return nothing, so no volume is pickled.
-_POOLS: dict[int, tuple["mp.pool.Pool", mmap.mmap]] = {}
+def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config):
+    """Score hypotheses ``lo..hi-1`` into the window arrays ``out``: the
+    per-scale score volumes, then support, discarded and mass."""
+    warp = EventWarp(window, intrinsics, velocity)
+    for j in range(lo, hi):
+        iwe = accumulate(warp(depths[j]), intrinsics.resolution,
+                         splat=config.splat)
+        levels = build_pyramid(iwe.grid, config.num_scales)
+        for k, grid in enumerate(levels):
+            out.scores[k][j] = volume_score_map(grid, config.focus)
+        out.support[j] = box_window_sum(iwe.grid, config.focus.window_radius)
+        out.discarded[j] = iwe.discarded
+        out.mass[j] = iwe.mass
+
+
+def _split(n: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous ranges covering ``0..n-1`` whose sizes differ by
+    at most one; some are empty when ``n < parts``."""
+    bounds = [i * (n // parts) + min(i, n % parts) for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+# Each pool is forked with its own anonymous shared-memory arena and a
+# barrier over its workers, which the entry keeps alive with the pool.
+# Workers write a window into the arena and return nothing, so no volume
+# is pickled.
+_POOLS: dict[int, tuple] = {}      # workers -> (pool, arena, barrier)
 _POOL_LOCK = threading.Lock()
 _worker_arena: mmap.mmap | None = None
+_worker_barrier = None
+# How long a worker that has swept waits for the others.  It only bounds
+# the wait on a worker that is stuck, so it is far above any sweep's spread.
+_BARRIER_TIMEOUT_S = 600.0
+# A window whose arrays take at least this many bytes has each process drop
+# its mapping of them after each step, so that a worker holds about half of
+# them at a time.  Below it the pages saved are few (0.1 MiB per worker for
+# a 64x64 sensor at 32 hypotheses) and faulting them back in costs more.
+_DROP_BYTES = 8 << 20
 
 
-def _attach_arena(arena: mmap.mmap) -> None:
-    global _worker_arena
-    _worker_arena = arena
+def _attach(arena: mmap.mmap, barrier) -> None:
+    global _worker_arena, _worker_barrier
+    _worker_arena, _worker_barrier = arena, barrier
 
 
-def _sweep_task(task) -> None:
-    """Worker side: score one chunk of hypotheses into the inherited arena."""
-    window, intrinsics, velocity, depths, lo, hi, config = task
-    layout, _ = _sweep_layout(len(depths), intrinsics.resolution,
-                              config.num_scales)
-    _sweep_into(_sweep_arrays(layout, _worker_arena), window, intrinsics,
-                velocity, depths, lo, hi, config)
+def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
+    """Drop this process's page table entries for a window of ``nbytes`` in
+    ``arena`` if it is large.  On this shared mapping the data stays."""
+    if nbytes >= _DROP_BYTES:
+        arena.madvise(mmap.MADV_DONTNEED)
+
+
+def _window_task(task) -> bool:
+    """Worker side: sweep one hypothesis range into the inherited arena;
+    then, when ``rows`` is given and every worker has swept, aggregate that
+    band of rows.  Returns False if another worker failed to reach the
+    barrier; a worker that fails first breaks it, so none waits for it."""
+    window, intrinsics, velocity, depths, (lo, hi), rows, sweep, agg = task
+    layout, nbytes = _window_layout(len(depths), intrinsics.resolution,
+                                    sweep.num_scales)
+    out = _window_arrays(layout, _worker_arena)
+    try:
+        _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, sweep)
+    except BaseException:
+        _worker_barrier.abort()
+        raise
+    if rows is None:                  # the parent reads the volumes
+        return True
+    _drop_mapping(_worker_arena, nbytes)
+    try:
+        _worker_barrier.wait(_BARRIER_TIMEOUT_S)
+    except threading.BrokenBarrierError:
+        return False
+    _aggregate_band(out, *rows, 1.0 / depths, agg)
+    _drop_mapping(_worker_arena, nbytes)
+    return True
 
 
 def _get_pool(workers: int, nbytes: int):
-    """The cached pool of ``workers`` processes and its arena of at least
-    ``nbytes``; a smaller arena is replaced with its pool.  Fork keeps
-    start-up cheap and hands the arena to the workers."""
+    """The cached pool of ``workers`` processes with its arena of at least
+    ``nbytes`` and its barrier; a smaller arena is replaced with its pool.
+    Fork keeps start-up cheap and hands the arena to the workers."""
     entry = _POOLS.get(workers)
     if entry is not None and len(entry[1]) < nbytes:
         _close_pool(*_POOLS.pop(workers))
         entry = None
     if entry is None:
-        arena = mmap.mmap(-1, nbytes)
-        pool = mp.get_context("fork").Pool(processes=workers,
-                                           initializer=_attach_arena,
-                                           initargs=(arena,))
-        entry = _POOLS[workers] = (pool, arena)
+        ctx = mp.get_context("fork")
+        arena, barrier = mmap.mmap(-1, nbytes), ctx.Barrier(workers)
+        pool = ctx.Pool(processes=workers, initializer=_attach,
+                        initargs=(arena, barrier))
+        entry = _POOLS[workers] = (pool, arena, barrier)
     return entry
 
 
-def _close_pool(pool, arena) -> None:
+def _close_pool(pool, arena, _barrier) -> None:
     pool.terminate()
     pool.join()
     arena.close()
+
+
+def _run_in_pool(workers: int, layout, nbytes: int, tasks, read):
+    """Run one window's ``tasks`` on the cached pool, one task per worker,
+    and return ``read`` of the arena's arrays.  A failed run closes the
+    pool, so the next call forks a fresh pool and barrier."""
+    with _POOL_LOCK:
+        pool, arena, _ = _get_pool(workers, nbytes)
+        try:
+            if not all(pool.map(_window_task, tasks, chunksize=1)):
+                raise TimeoutError("a sweep worker did not reach the barrier "
+                                   f"within {_BARRIER_TIMEOUT_S:g} s")
+        except BaseException:
+            _close_pool(*_POOLS.pop(workers))
+            raise
+        result = read(_window_arrays(layout, arena))
+        _drop_mapping(arena, nbytes)
+    return result
 
 
 def shutdown_pools() -> None:
@@ -252,20 +345,17 @@ def build_volume(window: EventWindow, intrinsics: CameraIntrinsics,
     check_scales(config.num_scales, intrinsics)
     depths = hypotheses.depths
     d = len(depths)
-    layout, nbytes = _sweep_layout(d, intrinsics.resolution, config.num_scales)
+    layout, nbytes = _window_layout(d, intrinsics.resolution, config.num_scales)
     if config.workers == 1:
-        out = _sweep_arrays(layout)
+        out = _window_arrays(layout)
         _sweep_into(out, window, intrinsics, velocity, depths, 0, d, config)
+        arrays = out.sweep
     else:
-        n = min(config.workers, d)
-        bounds = [i * (d // n) + min(i, d % n) for i in range(n + 1)]
-        tasks = [(window, intrinsics, velocity, depths, lo, hi, config)
-                 for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with _POOL_LOCK:
-            pool, arena = _get_pool(config.workers, nbytes)
-            pool.map(_sweep_task, tasks)
-            out = [view.copy() for view in _sweep_arrays(layout, arena)]
-    *scores, support, discarded, mass = out
+        tasks = [(window, intrinsics, velocity, depths, hyps, None, config, None)
+                 for hyps in _split(d, config.workers)]
+        arrays = _run_in_pool(config.workers, layout, nbytes, tasks,
+                              lambda view: [a.copy() for a in view.sweep])
+    *scores, support, discarded, mass = arrays
     volumes = [CostVolume(scores=s, hypotheses=hypotheses) for s in scores]
     return SweepResult(volumes=volumes, support=support, discarded=discarded,
                        mass=mass)
@@ -288,6 +378,56 @@ def objective_sweep(window: EventWindow, intrinsics: CameraIntrinsics,
 # ---------------------------------------------------------------------------
 # Inter-hypothesis aggregation
 
+# Aggregation works through a volume a block of hypothesis slices at a
+# time; a block of float64 slices takes at most this many bytes (or one
+# slice), so that a block and its temporaries stay in a core's L2 cache.
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_slices(shape) -> int:
+    """Hypothesis slices of the (h, w) slice ``shape`` per block."""
+    return max(1, _BLOCK_BYTES // (8 * int(np.prod(shape))))
+
+
+def _trend_filter_inplace(s: np.ndarray, iterations: int, peak_alpha: float,
+                          step: int) -> np.ndarray:
+    """Trend-filter the (D, h, w) volume ``s`` in place, ``step`` hypothesis
+    slices at a time, and return each curve's maximum after filtering.
+
+    Each pass reads only values from before the pass, so a block needs just
+    one saved slice: the one before it, as it was.
+    """
+    d = len(s)
+    for _ in range(iterations):
+        before = s[0].copy()          # hypothesis 0's replicated neighbour
+        for a in range(0, d, step):
+            b = min(a + step, d)
+            # (prev + 2 * cur + next) / 4 with replicated ends, added in
+            # the order of the whole-volume sums
+            out = s[a:b] * 2.0
+            out[0] += before
+            out[1:] += s[a:b - 1]
+            out[:-1] += s[a + 1:b]
+            out[-1] += s[min(b, d - 1)]
+            out *= 0.25
+            before = s[b - 1].copy()
+            s[a:b] = out
+    peak = s.max(axis=0)
+    if peak_alpha > 0 and d >= 3:
+        limit = peak_alpha * peak
+        before = s[0].copy()
+        for a in range(1, d - 1, step):
+            b = min(a + step, d - 1)
+            cur, nxt = s[a:b], s[a + 1:b + 1]
+            prev = np.concatenate([before[None], s[a:b - 1]])
+            weak = (cur > prev) & (cur > nxt) & (cur < limit)
+            mid = 0.5 * (prev + nxt)
+            before = s[b - 1].copy()
+            np.copyto(cur, mid, where=weak)
+        peak = s.max(axis=0)
+    return peak
+
+
 def trend_filter(volume: CostVolume, iterations: int = 1,
                  peak_alpha: float = 0.7) -> CostVolume:
     """Smooth each pixel's score curve along the hypothesis axis and knock
@@ -300,28 +440,52 @@ def trend_filter(volume: CostVolume, iterations: int = 1,
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    s = volume.scores
-    for _ in range(iterations):
-        # (prev + 2 * cur + next) / 4 with replicated ends, accumulated in
-        # place; addition commutes exactly, so the sum is bitwise the same.
-        out = s * 2.0
-        out[1:] += s[:-1]
-        out[0] += s[0]
-        out[:-1] += s[1:]
-        out[-1] += s[-1]
-        out *= 0.25
-        s = out
-    if peak_alpha > 0 and s.shape[0] >= 3:
-        s = s.copy() if s is volume.scores else s
-        limit = peak_alpha * s.max(axis=0)
-        prev = s[0].copy()            # the previous slice before suppression
-        for j in range(1, s.shape[0] - 1):
-            cur, nxt = s[j], s[j + 1]
-            weak = (cur > prev) & (cur > nxt) & (cur < limit)
-            mid = 0.5 * (prev + nxt)
-            prev[...] = cur
-            np.copyto(cur, mid, where=weak)
+    s = volume.scores.copy()
+    _trend_filter_inplace(s, iterations, peak_alpha, _block_slices(s.shape[1:]))
     return replace(volume, scores=s)
+
+
+def _scale_weights(scale_weights, count: int) -> np.ndarray:
+    """The fusion weights of ``count`` scales; None weighs them equally."""
+    if scale_weights is None:
+        scale_weights = (1.0,) * count
+    weights = np.asarray(scale_weights, dtype=np.float64)
+    if len(weights) != count:
+        raise ValueError(f"{len(weights)} weights for {count} volumes")
+    if (weights < 0).any() or weights.sum() <= 0:
+        raise ValueError("scale weights must be non-negative with positive sum")
+    return weights
+
+
+def _divisor(peak: np.ndarray) -> np.ndarray:
+    """The normaliser of each curve in fusion: its peak where positive,
+    else inf, so that a finite curve with no positive peak adds zero."""
+    return np.where(peak > 0, peak, np.inf)
+
+
+def _fuse_block(levels, divisors, weights, out) -> np.ndarray:
+    """Fuse a block of hypotheses into ``out``, shaped (slices, h, w) at
+    full resolution, and return it.
+
+    ``levels[k]`` is the block's slices of pyramid level k over the rows and
+    columns that cover ``out``, and ``divisors[k]`` the ``_divisor`` of
+    their curves' maxima.  Each level's curves are normalised and weighted
+    at the level's own scale, upsampled nearest-neighbour, and summed.
+    """
+    _, h, w = out.shape
+    for k, (level, divisor, wk) in enumerate(zip(levels, divisors, weights)):
+        if k:
+            norm = level / divisor
+            norm *= wk
+            f = 2 ** k
+            out += norm.repeat(f, axis=1)[:, :h].repeat(f, axis=2)[:, :, :w]
+        else:
+            np.divide(level, divisor, out=out)
+            out *= wk
+            # as 0.0 + norm: x / inf may be -0.0, which adds as zero
+            out += 0.0
+    out /= weights.sum()
+    return out
 
 
 def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
@@ -332,39 +496,49 @@ def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
         raise ValueError("need at least one volume to fuse")
     base = volumes[0]
     d, h, w = base.scores.shape
-    if scale_weights is None:
-        scale_weights = (1.0,) * len(volumes)
-    weights = np.asarray(scale_weights, dtype=np.float64)
-    if len(weights) != len(volumes):
-        raise ValueError(f"{len(weights)} weights for {len(volumes)} volumes")
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise ValueError("scale weights must be non-negative with positive sum")
-
-    acc = np.zeros((d, h, w), dtype=np.float64)
-    for k, (vol, wk) in enumerate(zip(volumes, weights)):
+    weights = _scale_weights(scale_weights, len(volumes))
+    for k, vol in enumerate(volumes):
         if not vol.hypotheses.matches(base.hypotheses):
             raise ValueError("hypothesis sets differ across scales")
         if vol.scores.shape != (d, -(-h // 2 ** k), -(-w // 2 ** k)):
             raise ValueError(f"volume {k} has shape {vol.scores.shape}, not "
                              f"pyramid level {k} of {(d, h, w)}")
-        # Each slice is normalised by its curves' peaks and weighted at the
-        # volume's own scale, then upsampled into the accumulator.
-        peak = vol.scores.max(axis=0)
-        positive = peak > 0
-        factor = 2 ** k
-        for j in range(d):
-            norm = np.zeros_like(peak)
-            np.divide(vol.scores[j], peak, out=norm, where=positive)
-            norm *= wk
-            if k:
-                norm = norm.repeat(factor, axis=0)[:h].repeat(factor, axis=1)[:, :w]
-            acc[j] += norm
-    acc /= weights.sum()
-    return CostVolume(scores=acc, hypotheses=base.hypotheses)
+    divisors = [_divisor(vol.scores.max(axis=0)) for vol in volumes]
+    fused = np.empty((d, h, w), dtype=np.float64)
+    step = _block_slices((h, w))
+    for a in range(0, d, step):
+        _fuse_block([vol.scores[a:a + step] for vol in volumes], divisors,
+                    weights, fused[a:a + step])
+    return CostVolume(scores=fused, hypotheses=base.hypotheses)
 
 
 # ---------------------------------------------------------------------------
 # Depth extraction
+
+def _readout(idx, peak, lo, hi, mean, support_at, inverse,
+             min_support) -> DepthMap:
+    """The depth map from each pixel's winning hypothesis ``idx``: its
+    score ``peak``, the scores ``lo`` and ``hi`` either side of it (clamped
+    at the ends), its curve's mean and the support at the winner."""
+    d = len(inverse)
+    interior = (idx > 0) & (idx < d - 1)
+    denom = lo - 2.0 * peak + hi
+    offset = np.zeros(idx.shape, dtype=np.float64)
+    refine = interior & (denom < 0)
+    offset[refine] = np.clip((lo - hi)[refine] / (2.0 * denom[refine]), -0.5, 0.5)
+
+    q_at = inverse[idx]
+    step_up = inverse[np.minimum(idx + 1, d - 1)] - q_at
+    step_dn = q_at - inverse[np.maximum(idx - 1, 0)]
+    q_refined = q_at + np.where(offset >= 0, offset * step_up, offset * step_dn)
+
+    valid = support_at.astype(np.float64) >= min_support
+    confidence = np.ones(idx.shape, dtype=np.float64)
+    np.divide(peak, mean, out=confidence, where=mean > 0)
+    depth = np.where(valid, 1.0 / q_refined, DEPTH_SENTINEL)
+    flags = np.where(valid, FLAG_MEASURED, FLAG_INVALID).astype(np.uint8)
+    return DepthMap(depth=depth, confidence=confidence, flags=flags)
+
 
 def extract_depth(volume: CostVolume, support: np.ndarray,
                   min_support: float = 0.5) -> DepthMap:
@@ -378,32 +552,95 @@ def extract_depth(volume: CostVolume, support: np.ndarray,
     d, h, w = scores.shape
     idx = scores.argmax(axis=0)
     vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    peak = scores[idx, vv, uu]
+    return _readout(idx, scores[idx, vv, uu],
+                    scores[np.maximum(idx - 1, 0), vv, uu],
+                    scores[np.minimum(idx + 1, d - 1), vv, uu],
+                    scores.mean(axis=0), support[idx, vv, uu],
+                    volume.hypotheses.inverse, min_support)
 
-    interior = (idx > 0) & (idx < d - 1)
-    lo = scores[np.maximum(idx - 1, 0), vv, uu]
-    hi = scores[np.minimum(idx + 1, d - 1), vv, uu]
-    denom = lo - 2.0 * peak + hi
-    offset = np.zeros((h, w), dtype=np.float64)
-    refine = interior & (denom < 0)
-    offset[refine] = np.clip((lo - hi)[refine] / (2.0 * denom[refine]), -0.5, 0.5)
 
-    q = volume.hypotheses.inverse
-    q_at = q[idx]
-    step_up = q[np.minimum(idx + 1, d - 1)] - q_at
-    step_dn = q_at - q[np.maximum(idx - 1, 0)]
-    q_refined = q_at + np.where(offset >= 0, offset * step_up, offset * step_dn)
-    depth = 1.0 / q_refined
+def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
+                    agg: AggregationConfig) -> None:
+    """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
+    a swept window in place, and write their depth, confidence, flags and
+    winner.  ``r0`` is a multiple of 2**(scales-1), so every pyramid
+    level's band is whole.
 
-    valid = support[idx, vv, uu].astype(np.float64) >= min_support
+    Every step reduces over hypotheses one pixel at a time, in the order of
+    ``trend_filter``, ``multiscale_fuse`` and ``extract_depth``, so the
+    maps are bitwise theirs.  The fused curves exist one block at a time:
+    the readout keeps a running winner, its two neighbours and the curve
+    sum, and reads support only at the final winner.
+    """
+    if r0 == r1:
+        return
+    weights = _scale_weights(agg.scale_weights, len(out.scores))
+    d, _, w = out.support.shape
+    h = r1 - r0
+    levels, divisors = [], []
+    for k, scores in enumerate(out.scores):
+        band = scores[:, r0 >> k:-(-r1 // 2 ** k)]
+        divisors.append(_divisor(_trend_filter_inplace(
+            band, agg.trend_iterations, agg.peak_alpha,
+            _block_slices(band.shape[1:]))))
+        levels.append(band)
 
-    mean = scores.mean(axis=0)
-    confidence = np.ones((h, w), dtype=np.float64)
-    np.divide(peak, mean, out=confidence, where=mean > 0)
+    best = np.full((h, w), -np.inf)
+    idx = np.zeros((h, w), dtype=np.int64)
+    lo, hi = np.empty((h, w)), np.empty((h, w))
+    new = np.zeros((h, w), dtype=bool)
+    step = _block_slices((h, w))
+    # two block buffers in turn, so the previous block's last slice stays
+    buffers = np.empty((2, step, h, w))
+    for a in range(0, d, step):
+        f = _fuse_block([level[a:a + step] for level in levels], divisors,
+                        weights, buffers[a // step % 2, :min(step, d - a)])
+        if a == 0:
+            total, prev = f[0].copy(), f[0]
+        for j, s in enumerate(f, start=a):
+            if j:
+                total += s            # the curve sum, in hypothesis order
+                # winners at hypothesis j-1 take their upper neighbour
+                np.copyto(hi, s, where=new)
+            new = s > best            # strict: the first maximum wins ties
+            np.copyto(best, s, where=new)
+            np.copyto(lo, prev, where=new)
+            np.copyto(idx, j, where=new)
+            prev = s
+    np.copyto(hi, best, where=new)    # winners at hypothesis D-1
 
-    depth = np.where(valid, depth, DEPTH_SENTINEL)
-    flags = np.where(valid, FLAG_MEASURED, FLAG_INVALID).astype(np.uint8)
-    return DepthMap(depth=depth, confidence=confidence, flags=flags)
+    support = np.take_along_axis(out.support[:, r0:r1], idx[None], axis=0)[0]
+    band_map = _readout(idx, best, lo, hi, total / d, support, inverse,
+                        agg.min_support)
+    out.depth[r0:r1] = band_map.depth
+    out.confidence[r0:r1] = band_map.confidence
+    out.flags[r0:r1] = band_map.flags
+    out.winner[r0:r1] = idx
+
+
+# Measured pixels whose fused curves a window reports.
+_CURVE_PIXELS = 8
+
+
+def _read_window(out: _WindowArrays, weights) -> tuple[DepthMap, SweepSummary]:
+    """Copy a window's maps and tallies out of its arrays, and fuse the
+    curves of up to ``_CURVE_PIXELS`` measured pixels, spread evenly over
+    them in row-major order, from the filtered per-scale volumes."""
+    depth_map = DepthMap(depth=out.depth.copy(),
+                         confidence=out.confidence.copy(),
+                         flags=out.flags.copy())
+    ys, xs = np.nonzero(depth_map.valid)
+    step = max(len(ys) // _CURVE_PIXELS, 1)
+    curves = {}
+    for y, x in zip(ys[::step][:_CURVE_PIXELS], xs[::step][:_CURVE_PIXELS]):
+        levels = [s[:, y >> k:(y >> k) + 1, x >> k:(x >> k) + 1]
+                  for k, s in enumerate(out.scores)]
+        curves[int(y), int(x)] = _fuse_block(
+            levels, [_divisor(level.max(axis=0)) for level in levels],
+            weights, np.empty((len(levels[0]), 1, 1)))[:, 0, 0]
+    return depth_map, SweepSummary(winner=out.winner.copy(), curves=curves,
+                                   discarded=out.discarded.copy(),
+                                   mass=out.mass.copy())
 
 
 def fill_depth(depth_map: DepthMap, policy: str = "none",
@@ -447,12 +684,35 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
                    velocity: VelocitySample, hypotheses: HypothesisSet,
                    sweep: SweepConfig = SweepConfig(),
                    agg: AggregationConfig = AggregationConfig()
-                   ) -> tuple[DepthMap, SweepResult, CostVolume]:
-    """sweep -> per-scale trend filter -> multi-scale fusion -> extraction."""
-    result = build_volume(window, intrinsics, velocity, hypotheses, sweep)
-    filtered = [trend_filter(vol, agg.trend_iterations, agg.peak_alpha)
-                for vol in result.volumes]
-    fused = multiscale_fuse(filtered, agg.scale_weights)
-    depth_map = extract_depth(fused, result.support, agg.min_support)
-    depth_map = fill_depth(depth_map, agg.fill)
-    return depth_map, result, fused
+                   ) -> tuple[DepthMap, SweepSummary]:
+    """sweep -> per-scale trend filter -> multi-scale fusion -> extraction
+    -> fill, with no (D, H, W) volume returned.
+
+    With N workers, one pool dispatch runs N tasks: each sweeps a share of
+    the hypotheses into the shared arena, waits until all have, and then
+    aggregates one band of rows in place.  With one worker the same two
+    steps run in-process over all hypotheses, then all rows.  The maps are
+    bitwise those of ``extract_depth(multiscale_fuse([trend_filter(v) ...]),
+    support)`` on ``build_volume``'s output, whatever the worker count.
+    """
+    check_scales(sweep.num_scales, intrinsics)
+    weights = _scale_weights(agg.scale_weights, sweep.num_scales)
+    depths = hypotheses.depths
+    d = len(depths)
+    w, h = intrinsics.resolution
+    layout, nbytes = _window_layout(d, intrinsics.resolution, sweep.num_scales)
+    if sweep.workers == 1:
+        out = _window_arrays(layout)
+        _sweep_into(out, window, intrinsics, velocity, depths, 0, d, sweep)
+        _aggregate_band(out, 0, h, hypotheses.inverse, agg)
+        depth_map, summary = _read_window(out, weights)
+    else:
+        align = 2 ** (sweep.num_scales - 1)
+        bands = [(min(a * align, h), min(b * align, h))
+                 for a, b in _split(-(-h // align), sweep.workers)]
+        tasks = [(window, intrinsics, velocity, depths, hyps, rows, sweep, agg)
+                 for hyps, rows in zip(_split(d, sweep.workers), bands)]
+        depth_map, summary = _run_in_pool(
+            sweep.workers, layout, nbytes, tasks,
+            lambda view: _read_window(view, weights))
+    return fill_depth(depth_map, agg.fill), summary

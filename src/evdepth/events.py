@@ -137,10 +137,13 @@ def load_events_text(path: str | Path) -> np.ndarray:
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 't u v p', got {line!r}")
-            ts.append(float(parts[0]))
-            us.append(int(parts[1]))
-            vs.append(int(parts[2]))
-            ps.append(int(parts[3]))
+            try:
+                ts.append(float(parts[0]))
+                us.append(int(parts[1]))
+                vs.append(int(parts[2]))
+                ps.append(int(parts[3]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return make_events(ts, us, vs, ps)
 
 

@@ -257,14 +257,14 @@ def oracle_depth_error(window: EventWindow, intrinsics, velocity,
                        agg: AggregationConfig = AggregationConfig(),
                        ) -> OracleReport:
     """Run the full pipeline and grade the selected bins against ground truth."""
-    depth_map, _, fused = estimate_depth(window, intrinsics, velocity,
-                                         hypotheses, sweep, agg)
+    depth_map, summary = estimate_depth(window, intrinsics, velocity,
+                                        hypotheses, sweep, agg)
 
     mask = event_pixel_mask(window, intrinsics, velocity, truth,
                             sweep.focus.window_radius, agg.min_support,
                             sweep.splat)
     true_bin = hypotheses.bin_of(truth.depth)
-    sel_bin = fused.scores.argmax(axis=0)
+    sel_bin = summary.winner
 
     n = int(mask.sum())
     if n == 0:

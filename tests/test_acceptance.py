@@ -212,8 +212,8 @@ def test_07_velocity_noise_degrades_accuracy_monotonically(plane_data):
         trials = []
         for s in range(10):
             noisy = inject_velocity_noise(VEL, level, seed=100 + s)
-            dm, _, _ = estimate_depth(window, INTR, noisy, HYP,
-                                      PLANE_SWEEP, PLANE_AGG)
+            dm, _ = estimate_depth(window, INTR, noisy, HYP,
+                                   PLANE_SWEEP, PLANE_AGG)
             report = evaluate(dm.depth, truth.depth, max_depth=80.0,
                               pred_valid=dm.valid & mask)
             trials.append(report.abs_rel)

@@ -356,6 +356,33 @@ def test_bad_text_line_names_file_once(dataset, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_text_value_names_file_and_line(dataset, tmp_path, capsys):
+    events = tmp_path / "bad.txt"
+    events.write_text("# t u v p\n0.0 1 2 1\nabc 1 2 1\n")
+    rc = main(["depth", "--events", str(events),
+               "--camera", str(dataset / "camera.json"),
+               "--track", str(dataset / "track.txt"),
+               "--out", str(tmp_path / "out"), *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: event stream {events}:3: could not convert")
+    assert err.count(str(events)) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+@pytest.mark.parametrize("flag", ["--max-count", "--max-interval", "--threads"])
+def test_zero_valued_flags_are_config_errors_naming_the_flag(
+        dataset, tmp_path, capsys, command, flag):
+    extra = (["--truth", str(dataset / "sim" / "truth.pfm"), "--levels", "0"]
+             if command == "ablate" else [])
+    rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
+               *FAST, flag, "0", *extra])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["depth", "ablate"])
 @pytest.mark.parametrize("flags, message", [
     (["--scales", "6"], "error: --scales: 6 scales shrink the 64x64 sensor"),

@@ -3,6 +3,8 @@ hole filling, and the sweep pipeline."""
 
 import sys
 import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from evdepth.costvol import (
 )
 from evdepth.events import EventWindow, make_events
 from evdepth.focus import FocusConfig
-from evdepth.motion import CameraIntrinsics, VelocitySample
+from evdepth.iwe import accumulate
+from evdepth.motion import CameraIntrinsics, EventWarp, VelocitySample
 
 HYP5 = inverse_depth_hypotheses(2.0, 10.0, 5)   # 1/d = 0.5, 0.4, 0.3, 0.2, 0.1
 
@@ -163,6 +166,25 @@ def test_trend_filter_bitwise_equal_to_padded_reference(iterations, peak_alpha):
         assert np.array_equal(out.scores,
                               padded_trend_filter(before, iterations, peak_alpha))
         assert np.array_equal(scores, before)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2])
+@pytest.mark.parametrize("peak_alpha", [0.0, 0.7, 1.5])
+def test_blocked_trend_kernel_bitwise_equal_to_padded_reference(iterations,
+                                                               peak_alpha):
+    rng = np.random.default_rng(iterations * 10 + int(peak_alpha * 10))
+    for d in (1, 2, 3, 4, 17):
+        scores = np.round(rng.gamma(1.0, size=(d, 9, 11)), 1)
+        want = padded_trend_filter(scores, iterations, peak_alpha)
+        for step in sorted({1, 2, d}):
+            # a band of rows of a larger volume, filtered where it lies
+            volume = np.zeros((d, 13, 11))
+            volume[:, 2:11] = scores
+            peak = costvol._trend_filter_inplace(volume[:, 2:11], iterations,
+                                                 peak_alpha, step)
+            assert np.array_equal(volume[:, 2:11], want), step
+            assert np.array_equal(peak, want.max(axis=0)), step
+            assert not volume[:, :2].any() and not volume[:, 11:].any()
 
 
 def gather_fuse(volumes, weights):
@@ -414,13 +436,14 @@ class TestBuildVolume:
         vel = VelocitySample(t=0.0, linear=(0.0, 0.0, 0.0),
                              angular=(0.0, 0.0, 0.5))
         hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
-        dm, _, fused = estimate_depth(
+        dm, summary = estimate_depth(
             tiny_window(), TINY_INTR, vel, hyp,
             SweepConfig(num_scales=1, focus=FocusConfig(window_radius=3)),
             AggregationConfig(scale_weights=(1.0,), trend_iterations=0,
                               peak_alpha=0.0))
-        np.testing.assert_allclose(fused.scores.max(axis=0),
-                                   fused.scores.min(axis=0), atol=1e-12)
+        assert summary.curves
+        for curve in summary.curves.values():
+            np.testing.assert_allclose(curve, curve[0], atol=1e-12)
         np.testing.assert_allclose(dm.confidence, 1.0, atol=1e-12)
 
     def test_volume_shapes_follow_pyramid(self):
@@ -497,9 +520,10 @@ class TestBuildVolume:
         assert not costvol._POOLS
 
     def test_threads_sharing_the_pool_keep_results(self):
-        # two threads sweep different sensors through one pool of more
-        # workers than this host may have cores; a sweep that read another
-        # thread's arena contents would differ from its one-worker result
+        # two threads sweep and estimate depth on different sensors through
+        # one pool of more workers than this host may have cores; a window
+        # that read another thread's arena contents would differ from its
+        # one-worker result
         window = random_window(4)
         hyp = inverse_depth_hypotheses(2.0, 10.0, 9)
         cases = [(TINY_INTR, VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
@@ -513,13 +537,17 @@ class TestBuildVolume:
 
         refs = [build_volume(window, intr, vel, hyp, config(1))
                 for intr, vel in cases]
+        depth_refs = [estimate_depth(window, intr, vel, hyp, config(1))[0]
+                      for intr, vel in cases]
         matched = []
 
         def sweep(first):
             for i in range(4):
                 k = (first + i) % 2
                 r = build_volume(window, *cases[k], hyp, config(3))
-                matched.append(same_sweep(r, refs[k]))
+                dm, _ = estimate_depth(window, *cases[k], hyp, config(3))
+                matched.append(same_sweep(r, refs[k])
+                               and np.array_equal(dm.depth, depth_refs[k].depth))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -551,11 +579,11 @@ class TestBuildVolume:
         vel = VelocitySample(t=0.0, linear=(1.0, 0.0, 0.0),
                              angular=(0.0, 0.0, 0.0))
         hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
-        dm, res, fused = estimate_depth(
+        dm, summary = estimate_depth(
             tiny_window(), TINY_INTR, vel, hyp,
             SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3)))
-        assert dm.depth.shape == (16, 16)
-        assert fused.scores.shape == (6, 16, 16)
+        assert dm.depth.shape == summary.winner.shape == (16, 16)
+        assert all(curve.shape == (6,) for curve in summary.curves.values())
         assert (dm.flags[dm.valid] == FLAG_MEASURED).all()
         assert (dm.depth[~dm.valid] == DEPTH_SENTINEL).all()
         inside = (dm.valid & (dm.depth >= hyp.depths[0])
@@ -574,3 +602,130 @@ class TestBuildVolume:
             with pytest.raises(ValueError, match="scale weights"):
                 AggregationConfig(scale_weights=weights)
         AggregationConfig(scale_weights=(0.0, 1.0))
+
+
+def sensor_window(intr, seed, n=300):
+    """``n`` random events anywhere on the sensor of ``intr``."""
+    rng = np.random.default_rng(seed)
+    ev = make_events(np.sort(rng.uniform(0.0, 0.1, n)),
+                     rng.integers(0, intr.width, n),
+                     rng.integers(0, intr.height, n), rng.integers(0, 2, n))
+    return EventWindow(events=ev, t_ref=float(ev["t"][-1]), t_span=0.1)
+
+
+def reference_estimate(window, intr, vel, hyp, sweep, agg):
+    """The whole-volume pipeline on one worker: the library stages in a
+    row, and the fused volume they read out."""
+    res = build_volume(window, intr, vel, hyp, replace(sweep, workers=1))
+    fused = multiscale_fuse([trend_filter(v, agg.trend_iterations,
+                                          agg.peak_alpha)
+                             for v in res.volumes], agg.scale_weights)
+    dm = extract_depth(fused, res.support, agg.min_support)
+    return fill_depth(dm, agg.fill), fused, res
+
+
+def assert_same_estimate(got, want):
+    (dm, summary), (ref, fused, res) = got, want
+    for name in ("depth", "confidence", "flags"):
+        assert np.array_equal(getattr(dm, name), getattr(ref, name)), name
+    assert np.array_equal(summary.winner, fused.scores.argmax(axis=0))
+    assert np.array_equal(summary.discarded, res.discarded)
+    assert np.array_equal(summary.mass, res.mass)
+    # up to 8 measured pixels, spread evenly in row-major order
+    ys, xs = np.nonzero(ref.valid)
+    step = max(len(ys) // 8, 1)
+    pixels = list(zip(ys[::step][:8].tolist(), xs[::step][:8].tolist()))
+    assert list(summary.curves) == pixels
+    for (y, x), curve in summary.curves.items():
+        assert np.array_equal(curve, fused.scores[:, y, x])
+
+
+class TestEstimateDepthBands:
+    """The band pipeline against the whole-volume stages, bit for bit."""
+
+    # (width, height, scales, hypotheses, trend iterations, peak alpha,
+    # events)
+    CASES = [
+        (16, 16, 1, 7, 0, 0.0, 15),     # flat zero curves: ties at bin 0
+        (13, 11, 3, 9, 1, 0.7, 300),    # height not a multiple of 4
+        (21, 9, 3, 2, 2, 0.7, 300),     # fewer hypotheses than 3 workers
+        (10, 9, 3, 5, 2, 0.0, 300),     # 3 row blocks of 4 for 4 workers
+        (12, 7, 2, 6, 1, 0.7, 300),     # height not a multiple of 2
+    ]
+
+    @pytest.mark.parametrize("block_bytes", [1, 2_000, 1 << 19],
+                             ids=["slice", "blocks", "whole"])
+    def test_maps_winner_and_curves_match_whole_volume_stages(
+            self, monkeypatch, block_bytes):
+        shutdown_pools()              # the pools fork with these sizes
+        monkeypatch.setattr(costvol, "_BLOCK_BYTES", block_bytes)
+        # every window drops its mappings, which must keep the data
+        monkeypatch.setattr(costvol, "_DROP_BYTES", 0)
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        try:
+            for i, (w, h, scales, d, iters, alpha, n) in enumerate(self.CASES):
+                intr = CameraIntrinsics(f=50.0, cu=w / 2, cv=h / 2, width=w,
+                                        height=h)
+                window = sensor_window(intr, seed=i, n=n)
+                hyp = inverse_depth_hypotheses(2.0, 10.0, d)
+                sweep = SweepConfig(num_scales=scales,
+                                    focus=FocusConfig(window_radius=3))
+                agg = AggregationConfig(
+                    scale_weights=tuple(np.linspace(1.0, 0.5, scales)),
+                    trend_iterations=iters, peak_alpha=alpha, min_support=0.3,
+                    fill="nearest-valid")
+                want = reference_estimate(window, intr, vel, hyp, sweep, agg)
+                assert want[0].valid.any()
+                for workers in (1, 2, 3, 4):
+                    got = estimate_depth(window, intr, vel, hyp,
+                                         replace(sweep, workers=workers), agg)
+                    assert_same_estimate(got, want)
+        finally:
+            shutdown_pools()
+
+    def test_failed_worker_fails_the_window_and_the_pool(self, monkeypatch):
+        # one hypothesis raises in the second worker; the first must not
+        # wait for it at the barrier
+        window, intr = random_window(5), TINY_INTR
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
+        sweep = SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3),
+                            workers=2)
+        bad = accumulate(EventWarp(window, intr, vel)(hyp.depths[4]),
+                         intr.resolution).grid
+        score = costvol.volume_score_map
+
+        def failing_score(grid, config):
+            if grid.shape == bad.shape and np.array_equal(grid, bad):
+                raise ValueError("hypothesis 4 cannot be scored")
+            return score(grid, config)
+
+        shutdown_pools()              # the pool forks with the patched scorer
+        monkeypatch.setattr(costvol, "volume_score_map", failing_score)
+        errors = []
+
+        def run():
+            try:
+                estimate_depth(window, intr, vel, hyp, sweep)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        thread = threading.Thread(target=run, daemon=True)
+        t0 = time.monotonic()
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert time.monotonic() - t0 < 10
+        assert errors == ["hypothesis 4 cannot be scored"]
+        assert 2 not in costvol._POOLS
+        monkeypatch.undo()
+        try:
+            got = estimate_depth(window, intr, vel, hyp, sweep)
+        finally:
+            shutdown_pools()
+        want = estimate_depth(window, intr, vel, hyp, replace(sweep, workers=1))
+        for name in ("depth", "confidence", "flags"):
+            assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
+        assert np.array_equal(got[1].winner, want[1].winner)
