@@ -14,11 +14,9 @@ from .motion import (CameraIntrinsics, CameraRig, EventWarp, VelocitySample,
 from .iwe import Iwe, accumulate, build_pyramid
 from .focus import (FocusConfig, FocusWeights, fcd_score_map, objective,
                     weighted_gradients)
-from .costvol import (AggregationConfig, CostVolume, DepthMap, HypothesisSet,
-                      SweepConfig, SweepResult, SweepSummary, build_volume,
-                      estimate_depth, extract_depth, fill_depth,
-                      inverse_depth_hypotheses, multiscale_fuse,
-                      objective_sweep, trend_filter)
+from .costvol import (AggregationConfig, DepthMap, HypothesisSet, SweepConfig,
+                      SweepSummary, estimate_depth, fill_depth,
+                      inverse_depth_hypotheses, objective_sweep)
 from .synth import GroundTruth, SceneSpec, generate, oracle_depth_error
 from .metrics import MetricReport, evaluate
 from .imgio import read_pfm, read_pgm, write_pfm, write_pgm
@@ -34,11 +32,9 @@ __all__ = [
     "Iwe", "accumulate", "build_pyramid",
     "FocusConfig", "FocusWeights", "fcd_score_map", "objective",
     "weighted_gradients",
-    "AggregationConfig", "CostVolume", "DepthMap", "HypothesisSet",
-    "SweepConfig", "SweepResult", "SweepSummary", "build_volume",
-    "estimate_depth",
-    "extract_depth", "fill_depth", "inverse_depth_hypotheses",
-    "multiscale_fuse", "objective_sweep", "trend_filter",
+    "AggregationConfig", "DepthMap", "HypothesisSet", "SweepConfig",
+    "SweepSummary", "estimate_depth", "fill_depth",
+    "inverse_depth_hypotheses", "objective_sweep",
     "GroundTruth", "SceneSpec", "generate", "oracle_depth_error",
     "MetricReport", "evaluate",
     "read_pfm", "read_pgm", "write_pfm", "write_pgm",

@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .costvol import (AggregationConfig, SweepConfig, check_scales,
+from .costvol import (FILL_POLICIES, FLAG_FILLED, FLAG_MEASURED,
+                      AggregationConfig, SweepConfig, check_scales,
                       estimate_depth, inverse_depth_hypotheses)
 from .events import (check_stream, form_windows, load_events,
                      save_events_binary, save_events_text)
-from .focus import OBJECTIVE_KINDS, FocusConfig, FocusWeights
+from .focus import VOLUME_KINDS, FocusConfig, FocusWeights
 from .imgio import read_pfm, write_pfm, write_pgm
 from .metrics import aggregate_reports, evaluate
 from .motion import (CameraRig, inject_velocity_noise, interpolate_velocity,
@@ -62,7 +63,7 @@ def _add_depth_flags(p):
     # The pipeline defaults are those of the default library configs.
     sweep, agg = SweepConfig(), AggregationConfig()
     p.add_argument("--objective", default=sweep.focus.kind,
-                   choices=sorted(OBJECTIVE_KINDS))
+                   choices=VOLUME_KINDS)
     p.add_argument("--fcd-weights", type=_csv_floats,
                    default=sweep.focus.weights.values,
                    help="six comma-separated gradient-channel weights")
@@ -76,8 +77,7 @@ def _add_depth_flags(p):
     p.add_argument("--trend-iters", type=int, default=agg.trend_iterations)
     p.add_argument("--peak-alpha", type=float, default=agg.peak_alpha)
     p.add_argument("--min-support", type=float, default=agg.min_support)
-    p.add_argument("--fill", default=agg.fill,
-                   choices=["none", "nearest-valid", "median-window"])
+    p.add_argument("--fill", default=agg.fill, choices=FILL_POLICIES)
     p.add_argument("--splat", default=sweep.splat, choices=["bilinear", "nearest"])
     p.add_argument("--max-count", type=int, default=80_000)
     p.add_argument("--max-interval", type=float, default=0.2)
@@ -268,8 +268,6 @@ def _pipeline_configs(args):
     have no config field, or (--threads) must name the flag, not the field."""
     if args.scale_weights is not None and len(args.scale_weights) != args.scales:
         raise ConfigError(f"--scale-weights needs {args.scales} values")
-    if args.trend_iters < 0:
-        raise ConfigError("--trend-iters must be >= 0")
     if args.noise < 0:
         raise ConfigError("--noise must be >= 0")
     if args.threads < 1:
@@ -334,7 +332,11 @@ def cmd_depth(args) -> int:
                                             sweep, agg)
         elapsed = time.perf_counter() - t0
         write_pfm(args.out / f"depth_{i:04d}.pfm", depth_map.depth)
-        write_pgm(args.out / f"mask_{i:04d}.pgm", depth_map.flags)
+        # one grey level per flag, so that masks of any run compare
+        flags = depth_map.flags
+        write_pgm(args.out / f"mask_{i:04d}.pgm",
+                  np.select([flags == FLAG_MEASURED, flags == FLAG_FILLED],
+                            [255, 128]), normalize=False)     # invalid: 0
         write_pfm(args.out / f"confidence_{i:04d}.pfm", depth_map.confidence)
         diag = {
             "window": i,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import mmap
 import multiprocessing as mp
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,8 @@ DEPTH_SENTINEL = -1.0
 FLAG_INVALID = 0
 FLAG_MEASURED = 1
 FLAG_FILLED = 2
+
+FILL_POLICIES = ("none", "nearest-valid", "median-window")
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,6 @@ class HypothesisSet:
         # number of midpoints strictly above target = index of nearest bin
         return np.searchsorted(-mids, -target, side="right").astype(np.int64)
 
-    def matches(self, other: "HypothesisSet") -> bool:
-        return len(self) == len(other) and bool(np.array_equal(self.depths, other.depths))
-
 
 def inverse_depth_hypotheses(d_min: float, d_max: float, count: int) -> HypothesisSet:
     """Sampling uniform in 1/d: flow magnitude is linear in inverse depth,
@@ -75,18 +74,6 @@ def inverse_depth_hypotheses(d_min: float, d_max: float, count: int) -> Hypothes
         raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
     inv = np.linspace(1.0 / d_min, 1.0 / d_max, count)
     return HypothesisSet(depths=1.0 / inv)
-
-
-@dataclass(frozen=True)
-class CostVolume:
-    """Per-pixel focus scores over hypotheses at one pyramid scale."""
-    scores: np.ndarray        # (D, H, W), higher = better
-    hypotheses: HypothesisSet
-
-    def __post_init__(self):
-        if self.scores.ndim != 3 or self.scores.shape[0] != len(self.hypotheses):
-            raise ValueError(f"score volume shape {self.scores.shape} does not "
-                             f"match {len(self.hypotheses)} hypotheses")
 
 
 @dataclass(frozen=True)
@@ -99,14 +86,6 @@ class DepthMap:
     def valid(self) -> np.ndarray:
         """(H, W) bool: the pixel had event support (its depth is measured)."""
         return self.flags == FLAG_MEASURED
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    volumes: list[CostVolume]       # one per pyramid scale
-    support: np.ndarray             # (D, H, W) float32 windowed event mass
-    discarded: np.ndarray           # (D,) out-of-bounds tally per hypothesis
-    mass: np.ndarray                # (D,) in-bounds event mass per hypothesis
 
 
 @dataclass(frozen=True)
@@ -150,6 +129,12 @@ class AggregationConfig:
             if not ((w >= 0).all() and 0 < w.sum() < np.inf):    # NaN fails too
                 raise ValueError("scale weights must be finite and non-negative "
                                  "with positive sum")
+        if self.trend_iterations < 0:
+            raise ValueError(f"trend_iterations must be >= 0, "
+                             f"got {self.trend_iterations}")
+        if self.fill not in FILL_POLICIES:
+            raise ValueError(f"unknown fill policy {self.fill!r}; choose one "
+                             f"of {', '.join(FILL_POLICIES)}")
 
 
 def check_scales(num_scales: int, intrinsics: CameraIntrinsics) -> None:
@@ -174,11 +159,6 @@ class _WindowArrays:
     confidence: np.ndarray    # (H, W) float64
     winner: np.ndarray        # (H, W) int64
     flags: np.ndarray         # (H, W) uint8
-
-    @property
-    def sweep(self) -> list[np.ndarray]:
-        """The sweep's outputs, in ``build_volume``'s order."""
-        return [*self.scores, self.support, self.discarded, self.mass]
 
 
 def _window_layout(d, resolution, num_scales):
@@ -265,9 +245,9 @@ def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
 
 def _window_task(task) -> bool:
     """Worker side: sweep one hypothesis range into the inherited arena;
-    then, when ``rows`` is given and every worker has swept, aggregate that
-    band of rows.  Returns False if another worker failed to reach the
-    barrier; a worker that fails first breaks it, so none waits for it."""
+    then, once every worker has swept, aggregate one band of rows.  Returns
+    False if another worker failed to reach the barrier; a worker that
+    fails first breaks it, so none waits for it."""
     window, intrinsics, velocity, depths, (lo, hi), rows, sweep, agg = task
     layout, nbytes = _window_layout(len(depths), intrinsics.resolution,
                                     sweep.num_scales)
@@ -277,8 +257,6 @@ def _window_task(task) -> bool:
     except BaseException:
         _worker_barrier.abort()
         raise
-    if rows is None:                  # the parent reads the volumes
-        return True
     _drop_mapping(_worker_arena, nbytes)
     try:
         _worker_barrier.wait(_BARRIER_TIMEOUT_S)
@@ -338,29 +316,6 @@ def shutdown_pools() -> None:
         _POOLS.clear()
 
 
-def build_volume(window: EventWindow, intrinsics: CameraIntrinsics,
-                 velocity: VelocitySample, hypotheses: HypothesisSet,
-                 config: SweepConfig = SweepConfig()) -> SweepResult:
-    """Run the full hypothesis sweep; returns one score volume per scale."""
-    check_scales(config.num_scales, intrinsics)
-    depths = hypotheses.depths
-    d = len(depths)
-    layout, nbytes = _window_layout(d, intrinsics.resolution, config.num_scales)
-    if config.workers == 1:
-        out = _window_arrays(layout)
-        _sweep_into(out, window, intrinsics, velocity, depths, 0, d, config)
-        arrays = out.sweep
-    else:
-        tasks = [(window, intrinsics, velocity, depths, hyps, None, config, None)
-                 for hyps in _split(d, config.workers)]
-        arrays = _run_in_pool(config.workers, layout, nbytes, tasks,
-                              lambda view: [a.copy() for a in view.sweep])
-    *scores, support, discarded, mass = arrays
-    volumes = [CostVolume(scores=s, hypotheses=hypotheses) for s in scores]
-    return SweepResult(volumes=volumes, support=support, discarded=discarded,
-                       mass=mass)
-
-
 def objective_sweep(window: EventWindow, intrinsics: CameraIntrinsics,
                     velocity: VelocitySample, hypotheses: HypothesisSet,
                     focus_cfg: FocusConfig, splat: str = "bilinear") -> np.ndarray:
@@ -393,6 +348,11 @@ def _trend_filter_inplace(s: np.ndarray, iterations: int, peak_alpha: float,
                           step: int) -> np.ndarray:
     """Trend-filter the (D, h, w) volume ``s`` in place, ``step`` hypothesis
     slices at a time, and return each curve's maximum after filtering.
+
+    Smoothing applies the (1, 2, 1)/4 kernel with replicated endpoints
+    ``iterations`` times.  A single suppression pass then replaces every
+    strict interior local maximum below ``peak_alpha`` times the curve's
+    global maximum with the average of its neighbours.
 
     Each pass reads only values from before the pass, so a block needs just
     one saved slice: the one before it, as it was.
@@ -428,32 +388,14 @@ def _trend_filter_inplace(s: np.ndarray, iterations: int, peak_alpha: float,
     return peak
 
 
-def trend_filter(volume: CostVolume, iterations: int = 1,
-                 peak_alpha: float = 0.7) -> CostVolume:
-    """Smooth each pixel's score curve along the hypothesis axis and knock
-    out weak secondary peaks.
-
-    Smoothing applies the (1, 2, 1)/4 kernel with replicated endpoints
-    ``iterations`` times.  A single suppression pass then replaces every
-    strict interior local maximum below ``peak_alpha`` times the curve's
-    global maximum with the average of its neighbors.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    s = volume.scores.copy()
-    _trend_filter_inplace(s, iterations, peak_alpha, _block_slices(s.shape[1:]))
-    return replace(volume, scores=s)
-
-
 def _scale_weights(scale_weights, count: int) -> np.ndarray:
-    """The fusion weights of ``count`` scales; None weighs them equally."""
+    """The fusion weights of ``count`` scales; None weighs them equally.
+    ``AggregationConfig`` has checked their values."""
     if scale_weights is None:
         scale_weights = (1.0,) * count
     weights = np.asarray(scale_weights, dtype=np.float64)
     if len(weights) != count:
-        raise ValueError(f"{len(weights)} weights for {count} volumes")
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise ValueError("scale weights must be non-negative with positive sum")
+        raise ValueError(f"{len(weights)} scale weights for {count} scales")
     return weights
 
 
@@ -488,30 +430,6 @@ def _fuse_block(levels, divisors, weights, out) -> np.ndarray:
     return out
 
 
-def multiscale_fuse(volumes, scale_weights=None) -> CostVolume:
-    """Weighted per-curve-normalized average of the per-scale volumes at
-    full resolution (coarse scales upsampled nearest-neighbor).  Volume k
-    is pyramid level k of volume 0, as ``build_volume`` returns them."""
-    if not volumes:
-        raise ValueError("need at least one volume to fuse")
-    base = volumes[0]
-    d, h, w = base.scores.shape
-    weights = _scale_weights(scale_weights, len(volumes))
-    for k, vol in enumerate(volumes):
-        if not vol.hypotheses.matches(base.hypotheses):
-            raise ValueError("hypothesis sets differ across scales")
-        if vol.scores.shape != (d, -(-h // 2 ** k), -(-w // 2 ** k)):
-            raise ValueError(f"volume {k} has shape {vol.scores.shape}, not "
-                             f"pyramid level {k} of {(d, h, w)}")
-    divisors = [_divisor(vol.scores.max(axis=0)) for vol in volumes]
-    fused = np.empty((d, h, w), dtype=np.float64)
-    step = _block_slices((h, w))
-    for a in range(0, d, step):
-        _fuse_block([vol.scores[a:a + step] for vol in volumes], divisors,
-                    weights, fused[a:a + step])
-    return CostVolume(scores=fused, hypotheses=base.hypotheses)
-
-
 # ---------------------------------------------------------------------------
 # Depth extraction
 
@@ -540,25 +458,6 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse,
     return DepthMap(depth=depth, confidence=confidence, flags=flags)
 
 
-def extract_depth(volume: CostVolume, support: np.ndarray,
-                  min_support: float = 0.5) -> DepthMap:
-    """Winner-take-all with sub-bin parabolic refinement in inverse depth.
-
-    ``support`` is the (D, H, W) windowed event mass of the sweep, read at
-    each pixel's winning hypothesis.  Confidence is the peak-to-mean ratio
-    of each pixel's curve, 1 where the curve is flat.
-    """
-    scores = volume.scores
-    d, h, w = scores.shape
-    idx = scores.argmax(axis=0)
-    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    return _readout(idx, scores[idx, vv, uu],
-                    scores[np.maximum(idx - 1, 0), vv, uu],
-                    scores[np.minimum(idx + 1, d - 1), vv, uu],
-                    scores.mean(axis=0), support[idx, vv, uu],
-                    volume.hypotheses.inverse, min_support)
-
-
 def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
                     agg: AggregationConfig) -> None:
     """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
@@ -566,11 +465,12 @@ def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
     winner.  ``r0`` is a multiple of 2**(scales-1), so every pyramid
     level's band is whole.
 
-    Every step reduces over hypotheses one pixel at a time, in the order of
-    ``trend_filter``, ``multiscale_fuse`` and ``extract_depth``, so the
-    maps are bitwise theirs.  The fused curves exist one block at a time:
-    the readout keeps a running winner, its two neighbours and the curve
-    sum, and reads support only at the final winner.
+    Every step reduces over hypotheses one pixel at a time, in the order
+    of filtering, fusing and reading out whole volumes, so the maps are
+    bitwise theirs whatever the bands and blocks.  The fused curves exist
+    one block at a time: the readout keeps a running winner, its two
+    neighbours and the curve sum, and reads support only at the final
+    winner.
     """
     if r0 == r1:
         return
@@ -648,6 +548,8 @@ def fill_depth(depth_map: DepthMap, policy: str = "none",
     """Complete invalid pixels.  ``nearest-valid`` copies the closest
     measured depth; ``median-window`` takes the median of measured depths in
     a (2*radius+1)^2 window and leaves isolated pixels invalid."""
+    if policy not in FILL_POLICIES:
+        raise ValueError(f"unknown fill policy {policy!r}")
     if policy == "none":
         return depth_map
     valid = depth_map.valid
@@ -662,7 +564,7 @@ def fill_depth(depth_map: DepthMap, policy: str = "none",
         _, (iv, iu) = distance_transform_edt(holes, return_indices=True)
         depth[holes] = depth_map.depth[iv[holes], iu[holes]]
         flags[holes] = FLAG_FILLED
-    elif policy == "median-window":
+    else:                             # median-window
         h, w = depth.shape
         ys, xs = np.nonzero(holes)
         for y, x in zip(ys, xs):
@@ -672,8 +574,6 @@ def fill_depth(depth_map: DepthMap, policy: str = "none",
             if patch.size:
                 depth[y, x] = np.median(patch)
                 flags[y, x] = FLAG_FILLED
-    else:
-        raise ValueError(f"unknown fill policy {policy!r}")
     return DepthMap(depth=depth, confidence=depth_map.confidence, flags=flags)
 
 
@@ -691,9 +591,8 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
     With N workers, one pool dispatch runs N tasks: each sweeps a share of
     the hypotheses into the shared arena, waits until all have, and then
     aggregates one band of rows in place.  With one worker the same two
-    steps run in-process over all hypotheses, then all rows.  The maps are
-    bitwise those of ``extract_depth(multiscale_fuse([trend_filter(v) ...]),
-    support)`` on ``build_volume``'s output, whatever the worker count.
+    steps run in-process over all hypotheses, then all rows, and the
+    outputs are bitwise the same whatever the worker count.
     """
     check_scales(sweep.num_scales, intrinsics)
     weights = _scale_weights(agg.scale_weights, sweep.num_scales)

@@ -14,16 +14,14 @@ import time
 import numpy as np
 import pytest
 
+from evdepth import costvol
 from evdepth.costvol import (
     AggregationConfig,
-    CostVolume,
     SweepConfig,
-    build_volume,
     estimate_depth,
     inverse_depth_hypotheses,
     objective_sweep,
     shutdown_pools,
-    trend_filter,
 )
 from evdepth.focus import FocusConfig, FocusWeights
 from evdepth.iwe import accumulate
@@ -160,25 +158,23 @@ def test_04_contrast_objectives_agree_on_the_depth(plane_data):
           f"tolerance of true bin {true_bin} (fcd/var/sti/soe 1, sosa 2)")
 
 
-def test_05_score_curves_unimodal_after_trend_filter(plane_data):
+def test_05_score_curves_unimodal_after_trend_filter(plane_data, sweep_window):
     window, truth = plane_data
     sweep = SweepConfig(focus=FocusConfig(kind="var", window_radius=5),
                         num_scales=1, splat="nearest")
-    result = build_volume(window, INTR, VEL, HYP, sweep)
-    vol = trend_filter(result.volumes[0], iterations=1)
+    scores = sweep_window(window, INTR, VEL, HYP, sweep).scores[0]
+    costvol._trend_filter_inplace(scores, 1, 0.7, len(scores))
     mask = event_pixel_mask(window, INTR, VEL, truth, radius=5,
                             splat="nearest")
-    curves = vol.scores[:, mask]
+    curves = scores[:, mask]
     inner = curves[1:-1]
     peaks = ((inner > curves[:-2]) & (inner > curves[2:])).sum(axis=0)
     frac = float((peaks <= 1).mean())
     assert frac >= 0.90
 
-    hyp5 = inverse_depth_hypotheses(2.0, 10.0, 5)
-    spike = CostVolume(scores=np.array([0.0, 0.0, 4.0, 0.0, 0.0]
-                                       ).reshape(5, 1, 1), hypotheses=hyp5)
-    out = trend_filter(spike, iterations=1, peak_alpha=0.0)
-    np.testing.assert_array_equal(out.scores[:, 0, 0], (0.0, 1.0, 2.0, 1.0, 0.0))
+    spike = np.array([0.0, 0.0, 4.0, 0.0, 0.0]).reshape(5, 1, 1)
+    costvol._trend_filter_inplace(spike, 1, 0.0, len(spike))
+    np.testing.assert_array_equal(spike[:, 0, 0], (0.0, 1.0, 2.0, 1.0, 0.0))
     print(f"PASS unimodality: {frac:.4f} of event-pixel curves keep a single "
           f"peak after the trend filter (>= 0.90); smoothing kernel case exact")
 
@@ -265,19 +261,26 @@ def test_09_worker_count_never_changes_results(big_window):
     try:
         for workers in (1, 2, 8):
             cfg = SweepConfig(focus=BIG_FOCUS, num_scales=3, workers=workers)
-            results[workers] = build_volume(big_window, BIG_INTR, VEL,
-                                            BIG_HYP, cfg)
+            results[workers] = estimate_depth(big_window, BIG_INTR, VEL,
+                                              BIG_HYP, cfg)
     finally:
         shutdown_pools()
-    base = results[1]
+    base_map, base = results[1]
+    assert base_map.valid.any() and base.curves
     for workers in (2, 8):
-        other = results[workers]
-        for a, b in zip(base.volumes, other.volumes):
-            assert np.array_equal(a.scores, b.scores)
-        assert np.array_equal(base.support, other.support)
-        assert np.array_equal(base.discarded, other.discarded)
+        depth_map, summary = results[workers]
+        for name in ("depth", "confidence", "flags"):
+            assert np.array_equal(getattr(depth_map, name),
+                                  getattr(base_map, name)), name
+        for name in ("winner", "discarded", "mass"):
+            assert np.array_equal(getattr(summary, name),
+                                  getattr(base, name)), name
+        assert list(summary.curves) == list(base.curves)
+        for pixel, curve in summary.curves.items():
+            assert np.array_equal(curve, base.curves[pixel])
     print(f"PASS determinism: {len(big_window.events)} events, 64 hypotheses, "
-          f"346x260; 1-, 2- and 8-worker sweeps bitwise identical")
+          f"346x260, 3 scales; 1-, 2- and 8-worker depth, confidence, flags, "
+          f"winners, curves and tallies bitwise identical")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 8,
@@ -287,7 +290,7 @@ def test_09_eight_workers_speed_up_the_sweep(big_window):
     def timed_run(workers):
         cfg = SweepConfig(focus=BIG_FOCUS, num_scales=3, workers=workers)
         t0 = time.perf_counter()
-        build_volume(big_window, BIG_INTR, VEL, BIG_HYP, cfg)
+        estimate_depth(big_window, BIG_INTR, VEL, BIG_HYP, cfg)
         return time.perf_counter() - t0
 
     try:
@@ -298,5 +301,5 @@ def test_09_eight_workers_speed_up_the_sweep(big_window):
         shutdown_pools()
     speedup = t1 / t8
     assert speedup >= 4.0
-    print(f"PASS scaling: 8-worker sweep {t8:.2f}s vs 1-worker {t1:.2f}s, "
+    print(f"PASS scaling: 8-worker window {t8:.2f}s vs 1-worker {t1:.2f}s, "
           f"speedup {speedup:.1f}x (>= 4x)")

@@ -14,7 +14,7 @@ from evdepth import cli
 from evdepth.cli import main
 from evdepth.costvol import shutdown_pools
 from evdepth.events import load_events, save_events_binary
-from evdepth.imgio import read_pfm, write_pfm
+from evdepth.imgio import read_pfm, read_pgm, write_pfm
 from evdepth.motion import CameraIntrinsics, VelocitySample, save_camera, save_track
 from evdepth.synth import SceneSpec, save_scene
 
@@ -250,8 +250,24 @@ class TestDepth:
         assert not (tmp_path / "out").exists()
 
     def test_scalar_only_objective_is_config_error(self, dataset, tmp_path):
-        rc = run_depth(dataset, tmp_path / "out", ["--objective", "sti"])
-        assert rc == 2
+        # --objective offers only the kinds with a per-pixel score map
+        for kind in ("sti", "sosa"):
+            with pytest.raises(SystemExit) as exc:
+                run_depth(dataset, tmp_path / "out", ["--objective", kind])
+            assert exc.value.code == 2
+            assert not (tmp_path / "out").exists()
+
+    def test_mask_grey_level_per_flag(self, dataset, tmp_path):
+        # invalid 0, measured 255, filled 128, whatever else the map holds
+        masks = {}
+        for fill in ("none", "nearest-valid"):
+            assert run_depth(dataset, tmp_path / fill, ["--fill", fill]) == 0
+            masks[fill] = read_pgm(tmp_path / fill / "mask_0000.pgm")
+        measured = masks["none"] == 255
+        assert measured.any() and not measured.all()
+        assert set(np.unique(masks["none"])) == {0, 255}
+        assert np.array_equal(masks["nearest-valid"] == 255, measured)
+        assert (masks["nearest-valid"][~measured] == 128).all()
 
     def test_bad_window_radius_is_config_error(self, dataset, tmp_path):
         rc = run_depth(dataset, tmp_path / "out", ["--window-radius", "4"])

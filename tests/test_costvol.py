@@ -1,5 +1,5 @@
-"""Hypothesis sets, trend filtering, multi-scale fusion, depth extraction,
-hole filling, and the sweep pipeline."""
+"""Hypothesis sets, the trend, fusion and readout kernels, hole filling,
+and the sweep pipeline."""
 
 import sys
 import threading
@@ -15,20 +15,16 @@ from evdepth.costvol import (
     FLAG_FILLED,
     FLAG_INVALID,
     FLAG_MEASURED,
+    FILL_POLICIES,
     AggregationConfig,
-    CostVolume,
     DepthMap,
     HypothesisSet,
     SweepConfig,
-    build_volume,
     estimate_depth,
-    extract_depth,
     fill_depth,
     inverse_depth_hypotheses,
-    multiscale_fuse,
     objective_sweep,
     shutdown_pools,
-    trend_filter,
 )
 from evdepth.events import EventWindow, make_events
 from evdepth.focus import FocusConfig
@@ -38,10 +34,46 @@ from evdepth.motion import CameraIntrinsics, EventWarp, VelocitySample
 HYP5 = inverse_depth_hypotheses(2.0, 10.0, 5)   # 1/d = 0.5, 0.4, 0.3, 0.2, 0.1
 
 
-def volume_from_curves(curves, hypotheses):
-    """Stack per-pixel score curves (list of rows of tuples) into a volume."""
-    arr = np.asarray(curves, dtype=np.float64)      # (H, W, D)
-    return CostVolume(scores=np.moveaxis(arr, 2, 0), hypotheses=hypotheses)
+def volume_from_curves(curves):
+    """Stack per-pixel score curves (list of rows of tuples) into a
+    (D, H, W) volume."""
+    return np.moveaxis(np.asarray(curves, dtype=np.float64), 2, 0).copy()
+
+
+def trend_curves(curves, iterations, peak_alpha):
+    """The trend kernel over a volume of ``curves``, in one block."""
+    s = volume_from_curves(curves)
+    costvol._trend_filter_inplace(s, iterations, peak_alpha, len(s))
+    return s
+
+
+def fuse(levels, scale_weights=None):
+    """Fuse the per-scale volumes ``levels``, level k at pyramid level k,
+    with the fusion kernel in blocks of the pipeline's size."""
+    d, h, w = levels[0].shape
+    weights = costvol._scale_weights(scale_weights, len(levels))
+    divisors = [costvol._divisor(level.max(axis=0)) for level in levels]
+    fused = np.empty((d, h, w))
+    step = costvol._block_slices((h, w))
+    for a in range(0, d, step):
+        costvol._fuse_block([level[a:a + step] for level in levels], divisors,
+                            weights, fused[a:a + step])
+    return fused
+
+
+def read_out(curves, support, min_support=0.5):
+    """The band readout of one-scale ``curves`` over ``HYP5``, with no trend
+    filtering, and ``support`` broadcast to (D, H, W)."""
+    scores = volume_from_curves(curves)
+    d, h, w = scores.shape
+    layout, _ = costvol._window_layout(d, (w, h), 1)
+    out = costvol._window_arrays(layout)
+    out.scores[0][:] = scores
+    out.support[:] = support
+    costvol._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
+        trend_iterations=0, peak_alpha=0.0, min_support=min_support))
+    return DepthMap(depth=out.depth, confidence=out.confidence,
+                    flags=out.flags)
 
 
 class TestHypothesisSet:
@@ -62,12 +94,6 @@ class TestHypothesisSet:
         assert HYP5.bin_of(2.1) == 0
         assert HYP5.bin_of(1000.0) == 4
 
-    def test_matches(self):
-        a = inverse_depth_hypotheses(2.0, 10.0, 5)
-        assert a.matches(HYP5)
-        assert not a.matches(inverse_depth_hypotheses(2.0, 11.0, 5))
-        assert not a.matches(inverse_depth_hypotheses(2.0, 10.0, 6))
-
     def test_single_hypothesis_allowed(self):
         hyp = HypothesisSet(depths=np.array([4.0]))
         assert len(hyp) == 1
@@ -82,56 +108,41 @@ class TestHypothesisSet:
         with pytest.raises(ValueError):
             inverse_depth_hypotheses(0.0, 2.0, 4)
 
-    def test_volume_shape_checked(self):
-        with pytest.raises(ValueError):
-            CostVolume(scores=np.zeros((4, 2, 2)), hypotheses=HYP5)
-
 
 class TestTrendFilter:
     def test_point_peak_spreads_once(self):
-        vol = volume_from_curves([[(0.0, 0.0, 4.0, 0.0, 0.0)]], HYP5)
-        out = trend_filter(vol, iterations=1, peak_alpha=0.0)
-        np.testing.assert_array_equal(out.scores[:, 0, 0], (0, 1, 2, 1, 0))
+        out = trend_curves([[(0.0, 0.0, 4.0, 0.0, 0.0)]], 1, peak_alpha=0.0)
+        np.testing.assert_array_equal(out[:, 0, 0], (0, 1, 2, 1, 0))
 
     def test_zero_iterations_zero_alpha_is_identity(self):
-        vol = volume_from_curves([[(1.0, 5.0, 2.0, 4.0, 0.5)]], HYP5)
-        out = trend_filter(vol, iterations=0, peak_alpha=0.0)
-        np.testing.assert_array_equal(out.scores, vol.scores)
-
-    def test_input_not_mutated(self):
-        vol = volume_from_curves([[(0.0, 1.0, 0.0, 2.0, 0.0)]], HYP5)
-        before = vol.scores.copy()
-        trend_filter(vol, iterations=2, peak_alpha=0.7)
-        np.testing.assert_array_equal(vol.scores, before)
+        curves = [[(1.0, 5.0, 2.0, 4.0, 0.5)]]
+        out = trend_curves(curves, 0, peak_alpha=0.0)
+        np.testing.assert_array_equal(out, volume_from_curves(curves))
 
     def test_weak_secondary_peak_replaced_by_neighbor_mean(self):
-        vol = volume_from_curves([[(0.0, 1.0, 0.0, 2.0, 0.0)]], HYP5)
-        out = trend_filter(vol, iterations=0, peak_alpha=0.7)
+        out = trend_curves([[(0.0, 1.0, 0.0, 2.0, 0.0)]], 0, peak_alpha=0.7)
         # 1 < 0.7 * 2 -> replaced by (0 + 0)/2; the global peak survives
-        np.testing.assert_array_equal(out.scores[:, 0, 0], (0, 0, 0, 2, 0))
+        np.testing.assert_array_equal(out[:, 0, 0], (0, 0, 0, 2, 0))
 
     def test_strong_secondary_peak_survives(self):
-        vol = volume_from_curves([[(0.0, 1.9, 0.0, 2.0, 0.0)]], HYP5)
-        out = trend_filter(vol, iterations=0, peak_alpha=0.7)
-        np.testing.assert_array_equal(out.scores[:, 0, 0], (0, 1.9, 0, 2, 0))
+        out = trend_curves([[(0.0, 1.9, 0.0, 2.0, 0.0)]], 0, peak_alpha=0.7)
+        np.testing.assert_array_equal(out[:, 0, 0], (0, 1.9, 0, 2, 0))
 
     def test_suppression_runs_once_not_to_fixpoint(self):
         # replacing bin 2 turns bin 1 into a fresh local maximum; a single
         # pass leaves that new maximum alone
-        vol = volume_from_curves([[(0.0, 0.2, 1.0, 0.0, 4.0)]], HYP5)
-        out = trend_filter(vol, iterations=0, peak_alpha=0.9)
-        np.testing.assert_allclose(out.scores[:, 0, 0],
-                                   (0.0, 0.2, 0.1, 0.0, 4.0))
+        out = trend_curves([[(0.0, 0.2, 1.0, 0.0, 4.0)]], 0, peak_alpha=0.9)
+        np.testing.assert_allclose(out[:, 0, 0], (0.0, 0.2, 0.1, 0.0, 4.0))
 
     def test_smoothing_keeps_symmetric_argmax(self):
-        vol = volume_from_curves([[(0.0, 2.0, 5.0, 2.0, 0.0)]], HYP5)
-        out = trend_filter(vol, iterations=3, peak_alpha=0.0)
-        assert out.scores[:, 0, 0].argmax() == 2
+        out = trend_curves([[(0.0, 2.0, 5.0, 2.0, 0.0)]], 3, peak_alpha=0.0)
+        assert out[:, 0, 0].argmax() == 2
 
     def test_negative_iterations_rejected(self):
-        vol = volume_from_curves([[(0.0, 0.0, 1.0, 0.0, 0.0)]], HYP5)
-        with pytest.raises(ValueError):
-            trend_filter(vol, iterations=-1)
+        # the pipeline's trend settings are checked where they are set
+        with pytest.raises(ValueError, match="trend_iterations must be >= 0"):
+            AggregationConfig(trend_iterations=-1)
+        AggregationConfig(trend_iterations=0)
 
 
 def padded_trend_filter(scores, iterations, peak_alpha):
@@ -154,18 +165,16 @@ def padded_trend_filter(scores, iterations, peak_alpha):
 @pytest.mark.parametrize("iterations", [0, 1, 2])
 @pytest.mark.parametrize("peak_alpha", [0.0, 0.7])
 def test_trend_filter_bitwise_equal_to_padded_reference(iterations, peak_alpha):
+    # the kernel on a whole volume, in blocks of the pipeline's size
     rng = np.random.default_rng(iterations * 10 + int(peak_alpha * 10))
     for d in (1, 2, 3, 4, 17):
         # rounded values give plateaus and ties between neighbors
         scores = np.round(rng.gamma(1.0, size=(d, 9, 11)), 1)
-        hyp = inverse_depth_hypotheses(2.0, 10.0, d) if d > 1 else \
-            HypothesisSet(depths=np.array([4.0]))
-        before = scores.copy()
-        out = trend_filter(CostVolume(scores=scores, hypotheses=hyp),
-                           iterations, peak_alpha)
-        assert np.array_equal(out.scores,
-                              padded_trend_filter(before, iterations, peak_alpha))
-        assert np.array_equal(scores, before)
+        want = padded_trend_filter(scores, iterations, peak_alpha)
+        peak = costvol._trend_filter_inplace(scores, iterations, peak_alpha,
+                                             costvol._block_slices((9, 11)))
+        assert np.array_equal(scores, want)
+        assert np.array_equal(peak, want.max(axis=0))
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 2])
@@ -190,12 +199,12 @@ def test_blocked_trend_kernel_bitwise_equal_to_padded_reference(iterations,
 def gather_fuse(volumes, weights):
     """Fusion with whole-volume normalisation and a (D, H, W) fancy-index
     upsample: the previous implementation, kept as the bitwise reference."""
-    d, h, w = volumes[0].scores.shape
+    d, h, w = volumes[0].shape
     acc = np.zeros((d, h, w), dtype=np.float64)
     for shift, (vol, wk) in enumerate(zip(volumes, weights)):
-        peak = vol.scores.max(axis=0)
-        norm = np.zeros_like(vol.scores)
-        np.divide(vol.scores, peak[None], out=norm, where=peak[None] > 0)
+        peak = vol.max(axis=0)
+        norm = np.zeros_like(vol)
+        np.divide(vol, peak[None], out=norm, where=peak[None] > 0)
         if shift:
             vi = np.arange(h) >> shift
             ui = np.arange(w) >> shift
@@ -208,94 +217,59 @@ def gather_fuse(volumes, weights):
 
 def test_multiscale_fuse_bitwise_equal_to_gather_reference():
     rng = np.random.default_rng(5)
-    hyp = inverse_depth_hypotheses(2.0, 50.0, 4)
     volumes = []
     for shape in [(260, 346), (130, 173), (65, 87)]:
         scores = rng.gamma(2.0, size=(4, *shape))
         scores[:, rng.uniform(size=shape) < 0.2] = 0.0    # flat zero curves
-        volumes.append(CostVolume(scores=scores, hypotheses=hyp))
+        volumes.append(scores)
     weights = (0.5, 1.25, 3.0)
-    fused = multiscale_fuse(volumes, weights)
-    assert np.array_equal(fused.scores, gather_fuse(volumes, weights))
+    assert np.array_equal(fuse(volumes, weights), gather_fuse(volumes, weights))
 
 
 class TestMultiscaleFuse:
     def test_single_volume_normalizes_curves(self):
-        vol = volume_from_curves([[(1.0, 2.0, 4.0, 2.0, 1.0)]], HYP5)
-        out = multiscale_fuse([vol])
-        np.testing.assert_allclose(out.scores[:, 0, 0],
-                                   (0.25, 0.5, 1.0, 0.5, 0.25))
+        out = fuse([volume_from_curves([[(1.0, 2.0, 4.0, 2.0, 1.0)]])])
+        np.testing.assert_allclose(out[:, 0, 0], (0.25, 0.5, 1.0, 0.5, 0.25))
 
     def test_zero_curve_stays_zero(self):
-        vol = volume_from_curves([[(0.0,) * 5, (1.0, 0.0, 0.0, 0.0, 0.0)]],
-                                 HYP5)
-        out = multiscale_fuse([vol])
-        assert not out.scores[:, 0, 0].any()
-        assert np.isfinite(out.scores).all()
+        out = fuse([volume_from_curves([[(0.0,) * 5,
+                                         (1.0, 0.0, 0.0, 0.0, 0.0)]])])
+        assert not out[:, 0, 0].any()
+        assert np.isfinite(out).all()
 
     def test_identical_volumes_fuse_to_same_curves(self):
-        vol = volume_from_curves([[(1.0, 3.0, 2.0, 0.5, 0.1)]], HYP5)
-        one = multiscale_fuse([vol])
-        two = multiscale_fuse([vol, vol], scale_weights=(1.0, 1.0))
-        np.testing.assert_allclose(two.scores, one.scores, rtol=1e-12)
+        vol = volume_from_curves([[(1.0, 3.0, 2.0, 0.5, 0.1)]])
+        one = fuse([vol])
+        two = fuse([vol, vol], scale_weights=(1.0, 1.0))
+        np.testing.assert_allclose(two, one, rtol=1e-12)
 
     def test_coarse_level_upsampled_nearest_neighbor(self):
-        hyp2 = HypothesisSet(depths=np.linspace(1.0, 2.0, 2))
-        base = CostVolume(scores=np.zeros((2, 4, 4)), hypotheses=hyp2)
-        coarse_scores = np.zeros((2, 2, 2))
-        coarse_scores[:, 0, 0] = (1.0, 2.0)
-        coarse = CostVolume(scores=coarse_scores, hypotheses=hyp2)
-        out = multiscale_fuse([base, coarse], scale_weights=(0.0, 1.0))
-        np.testing.assert_allclose(out.scores[0, :2, :2], np.full((2, 2), 0.5))
-        np.testing.assert_allclose(out.scores[1, :2, :2], np.ones((2, 2)))
-        assert not out.scores[:, 2:, 2:].any()
+        coarse = np.zeros((2, 2, 2))
+        coarse[:, 0, 0] = (1.0, 2.0)
+        out = fuse([np.zeros((2, 4, 4)), coarse], scale_weights=(0.0, 1.0))
+        np.testing.assert_allclose(out[0, :2, :2], np.full((2, 2), 0.5))
+        np.testing.assert_allclose(out[1, :2, :2], np.ones((2, 2)))
+        assert not out[:, 2:, 2:].any()
 
     def test_result_is_weight_normalized(self):
-        vol = volume_from_curves([[(0.0, 4.0, 0.0, 0.0, 0.0)]], HYP5)
-        out = multiscale_fuse([vol, vol], scale_weights=(3.0, 1.0))
-        assert out.scores[:, 0, 0].max() == 1.0
-
-    def test_mismatched_hypotheses_rejected(self):
-        a = volume_from_curves([[(1.0,) * 5]], HYP5)
-        b = volume_from_curves([[(1.0,) * 5]],
-                               inverse_depth_hypotheses(2.0, 11.0, 5))
-        with pytest.raises(ValueError):
-            multiscale_fuse([a, b])
+        vol = volume_from_curves([[(0.0, 4.0, 0.0, 0.0, 0.0)]])
+        out = fuse([vol, vol], scale_weights=(3.0, 1.0))
+        assert out[:, 0, 0].max() == 1.0
 
     def test_weight_validation(self):
-        vol = volume_from_curves([[(1.0,) * 5]], HYP5)
-        with pytest.raises(ValueError):
-            multiscale_fuse([vol], scale_weights=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            multiscale_fuse([vol], scale_weights=(-1.0,))
-        with pytest.raises(ValueError):
-            multiscale_fuse([vol], scale_weights=(0.0,))
-
-    def test_non_halved_shape_rejected(self):
-        hyp2 = HypothesisSet(depths=np.linspace(1.0, 2.0, 2))
-        base = CostVolume(scores=np.zeros((2, 4, 4)), hypotheses=hyp2)
-        odd = CostVolume(scores=np.zeros((2, 3, 3)), hypotheses=hyp2)
-        with pytest.raises(ValueError):
-            multiscale_fuse([base, odd])
+        # AggregationConfig checks the values (test_config_validation)
+        with pytest.raises(ValueError, match="2 scale weights for 1 scales"):
+            fuse([volume_from_curves([[(1.0,) * 5]])], scale_weights=(1.0, 1.0))
 
     def test_volume_k_must_be_pyramid_level_k(self):
-        hyp2 = HypothesisSet(depths=np.linspace(1.0, 2.0, 2))
-        levels = [CostVolume(scores=np.ones((2, 5, 9)), hypotheses=hyp2),
-                  CostVolume(scores=np.ones((2, 3, 5)), hypotheses=hyp2),
-                  CostVolume(scores=np.ones((2, 2, 3)), hypotheses=hyp2)]
-        assert multiscale_fuse(levels).scores.shape == (2, 5, 9)
-        with pytest.raises(ValueError, match="pyramid level 1"):
-            multiscale_fuse([levels[0], levels[2], levels[1]])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            multiscale_fuse([])
+        # levels ceil-halved from an odd sensor upsample, then crop to it
+        levels = [np.ones((2, 5, 9)), np.ones((2, 3, 5)), np.ones((2, 2, 3))]
+        assert np.array_equal(fuse(levels), np.ones((2, 5, 9)))
 
 
 class TestExtractDepth:
     def test_symmetric_peak_no_offset(self):
-        vol = volume_from_curves([[(0.0, 1.0, 3.0, 1.0, 0.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
+        dm = read_out([[(0.0, 1.0, 3.0, 1.0, 0.0)]], support=1.0)
         np.testing.assert_allclose(dm.depth[0, 0], 1.0 / 0.3, rtol=1e-12)
         assert dm.valid[0, 0]
         assert dm.flags[0, 0] == FLAG_MEASURED
@@ -303,46 +277,39 @@ class TestExtractDepth:
     def test_asymmetric_peak_parabolic_offset(self):
         # lo=1, peak=3, hi=2: offset = (1-2)/(2*(1-6+2)) = 1/6 of the
         # inverse-depth step toward the larger neighbor
-        vol = volume_from_curves([[(0.0, 1.0, 3.0, 2.0, 0.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
+        dm = read_out([[(0.0, 1.0, 3.0, 2.0, 0.0)]], support=1.0)
         np.testing.assert_allclose(dm.depth[0, 0], 1.0 / (0.3 - 0.1 / 6.0),
                                    rtol=1e-12)
 
     def test_boundary_peak_skips_refinement(self):
-        vol = volume_from_curves([[(3.0, 1.0, 0.0, 0.0, 0.0),
-                                   (0.0, 0.0, 0.0, 1.0, 3.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((5, 1, 2)))
+        dm = read_out([[(3.0, 1.0, 0.0, 0.0, 0.0),
+                        (0.0, 0.0, 0.0, 1.0, 3.0)]], support=1.0)
         assert dm.depth[0, 0] == 2.0
         assert dm.depth[0, 1] == 10.0
 
     def test_confidence_is_peak_to_mean_ratio(self):
-        vol = volume_from_curves([[(0.0, 1.0, 3.0, 2.0, 0.0)]], HYP5)
-        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
+        dm = read_out([[(0.0, 1.0, 3.0, 2.0, 0.0)]], support=1.0)
         np.testing.assert_allclose(dm.confidence[0, 0], 3.0 / 1.2, rtol=1e-12)
 
     def test_flat_zero_curve_confidence_one(self):
-        vol = volume_from_curves([[(0.0,) * 5]], HYP5)
-        dm = extract_depth(vol, support=np.ones((5, 1, 1)))
+        dm = read_out([[(0.0,) * 5]], support=1.0)
         assert dm.confidence[0, 0] == 1.0
 
     def test_min_support_invalidates(self):
-        vol = volume_from_curves([[(0.0, 1.0, 3.0, 1.0, 0.0)] * 2], HYP5)
-        support = np.broadcast_to([[0.4, 0.6]], (5, 1, 2))
-        dm = extract_depth(vol, support=support, min_support=0.5)
+        dm = read_out([[(0.0, 1.0, 3.0, 1.0, 0.0)] * 2], support=[[0.4, 0.6]],
+                      min_support=0.5)
         assert not dm.valid[0, 0]
         assert dm.depth[0, 0] == DEPTH_SENTINEL
         assert dm.flags[0, 0] == FLAG_INVALID
         assert dm.valid[0, 1]
 
     def test_volumetric_support_gathered_at_winner(self):
-        vol = volume_from_curves([[(0.0, 1.0, 3.0, 1.0, 0.0)]], HYP5)
-        support = np.zeros((5, 1, 1), dtype=np.float32)
+        curves = [[(0.0, 1.0, 3.0, 1.0, 0.0)]]
+        support = np.zeros((5, 1, 1))
         support[2] = 0.7     # mass under the winning hypothesis only
-        dm = extract_depth(vol, support=support, min_support=0.5)
-        assert dm.valid[0, 0]
+        assert read_out(curves, support, min_support=0.5).valid[0, 0]
         support[2] = 0.3
-        dm = extract_depth(vol, support=support, min_support=0.5)
-        assert not dm.valid[0, 0]
+        assert not read_out(curves, support, min_support=0.5).valid[0, 0]
 
 
 class TestFillDepth:
@@ -409,28 +376,35 @@ def random_window(seed, n=300):
     return EventWindow(events=ev, t_ref=float(ev["t"][-1]), t_span=0.1)
 
 
-def same_sweep(a, b):
-    """Whether two sweep results are bitwise equal."""
-    return (all(np.array_equal(x.scores, y.scores)
-                for x, y in zip(a.volumes, b.volumes, strict=True))
-            and all(np.array_equal(getattr(a, name), getattr(b, name))
-                    for name in ("support", "discarded", "mass")))
+def same_estimate(a, b):
+    """Whether two ``estimate_depth`` results are bitwise equal."""
+    (map_a, sum_a), (map_b, sum_b) = a, b
+    return (all(np.array_equal(getattr(map_a, name), getattr(map_b, name))
+                for name in ("depth", "confidence", "flags"))
+            and all(np.array_equal(getattr(sum_a, name), getattr(sum_b, name))
+                    for name in ("winner", "discarded", "mass"))
+            and list(sum_a.curves) == list(sum_b.curves)
+            and all(np.array_equal(curve, sum_b.curves[pixel])
+                    for pixel, curve in sum_a.curves.items()))
 
 
 class TestBuildVolume:
-    def test_pure_rotation_slices_identical(self):
+    """The sweep that builds a window's cost volumes, and the worker pool
+    that runs it with the aggregation."""
+
+    def test_pure_rotation_slices_identical(self, sweep_window):
         # rotational flow carries no depth information, so every hypothesis
         # produces the same scores, bit for bit
         vel = VelocitySample(t=0.0, linear=(0.0, 0.0, 0.0),
                              angular=(0.0, 0.0, 0.5))
         hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
-        res = build_volume(tiny_window(), TINY_INTR, vel, hyp,
+        out = sweep_window(tiny_window(), TINY_INTR, vel, hyp,
                            SweepConfig(num_scales=1,
                                        focus=FocusConfig(window_radius=3)))
-        scores = res.volumes[0].scores
+        scores = out.scores[0]
         for j in range(1, 6):
             assert np.array_equal(scores[j], scores[0])
-        assert np.array_equal(res.mass, np.full(6, res.mass[0]))
+        assert np.array_equal(out.mass, np.full(6, out.mass[0]))
 
     def test_pure_rotation_confidence_is_one(self):
         vel = VelocitySample(t=0.0, linear=(0.0, 0.0, 0.0),
@@ -446,17 +420,17 @@ class TestBuildVolume:
             np.testing.assert_allclose(curve, curve[0], atol=1e-12)
         np.testing.assert_allclose(dm.confidence, 1.0, atol=1e-12)
 
-    def test_volume_shapes_follow_pyramid(self):
+    def test_volume_shapes_follow_pyramid(self, sweep_window):
         vel = VelocitySample(t=0.0, linear=(0.5, 0.0, 0.0),
                              angular=(0.0, 0.0, 0.0))
         hyp = inverse_depth_hypotheses(2.0, 10.0, 4)
-        res = build_volume(tiny_window(), TINY_INTR, vel, hyp,
+        out = sweep_window(tiny_window(), TINY_INTR, vel, hyp,
                            SweepConfig(num_scales=3,
                                        focus=FocusConfig(window_radius=3)))
-        assert [v.scores.shape for v in res.volumes] == [
+        assert [s.shape for s in out.scores] == [
             (4, 16, 16), (4, 8, 8), (4, 4, 4)]
-        assert res.support.shape == (4, 16, 16)
-        assert res.discarded.shape == (4,)
+        assert out.support.shape == (4, 16, 16)
+        assert out.discarded.shape == (4,)
 
     def test_too_many_scales_rejected(self):
         vel = VelocitySample(t=0.0, linear=(0.5, 0.0, 0.0),
@@ -464,10 +438,10 @@ class TestBuildVolume:
         hyp = inverse_depth_hypotheses(2.0, 10.0, 4)
         intr = CameraIntrinsics(f=50.0, cu=4.0, cv=4.0, width=8, height=8)
         with pytest.raises(ValueError):
-            build_volume(tiny_window(), intr, vel, hyp,
-                         SweepConfig(num_scales=3))
+            estimate_depth(tiny_window(), intr, vel, hyp,
+                           SweepConfig(num_scales=3))
 
-    def test_odd_sensor_coarsest_level_rounds_up(self):
+    def test_odd_sensor_coarsest_level_rounds_up(self, sweep_window):
         # an 11x11 pyramid is 11, 6 and 3 px: three scales fit, four do not
         intr = CameraIntrinsics(f=50.0, cu=5.0, cv=5.0, width=11, height=11)
         vel = VelocitySample(t=0.0, linear=(0.5, 0.0, 0.0),
@@ -475,12 +449,14 @@ class TestBuildVolume:
         ev = make_events([0.0, 0.05, 0.1], [2, 5, 9], [3, 6, 10], [1, 0, 1])
         window = EventWindow(events=ev, t_ref=0.1, t_span=0.1)
         hyp = inverse_depth_hypotheses(2.0, 10.0, 4)
-        res = build_volume(window, intr, vel, hyp, SweepConfig(
-            num_scales=3, focus=FocusConfig(window_radius=3)))
-        assert [v.scores.shape for v in res.volumes] == [
+        sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=3))
+        out = sweep_window(window, intr, vel, hyp, sweep)
+        assert [s.shape for s in out.scores] == [
             (4, 11, 11), (4, 6, 6), (4, 3, 3)]
+        dm, _ = estimate_depth(window, intr, vel, hyp, sweep)
+        assert dm.depth.shape == (11, 11)
         with pytest.raises(ValueError, match="4 scales"):
-            build_volume(window, intr, vel, hyp, SweepConfig(num_scales=4))
+            estimate_depth(window, intr, vel, hyp, SweepConfig(num_scales=4))
 
     def test_worker_count_does_not_change_results(self):
         vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
@@ -491,14 +467,11 @@ class TestBuildVolume:
         cfg2 = SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3),
                            workers=2)
         try:
-            r1 = build_volume(tiny_window(), TINY_INTR, vel, hyp, cfg1)
-            r2 = build_volume(tiny_window(), TINY_INTR, vel, hyp, cfg2)
+            r1 = estimate_depth(tiny_window(), TINY_INTR, vel, hyp, cfg1)
+            r2 = estimate_depth(tiny_window(), TINY_INTR, vel, hyp, cfg2)
         finally:
             shutdown_pools()
-        for a, b in zip(r1.volumes, r2.volumes):
-            assert np.array_equal(a.scores, b.scores)
-        assert np.array_equal(r1.support, r2.support)
-        assert np.array_equal(r1.discarded, r2.discarded)
+        assert same_estimate(r1, r2)
 
     def test_arena_regrowth_keeps_results(self):
         # a larger sensor replaces the pool's arena; a smaller one reuses it
@@ -509,21 +482,21 @@ class TestBuildVolume:
         sizes = []
         try:
             for intr in (TINY_INTR, WIDE_INTR, TINY_INTR):
-                results = [build_volume(window, intr, vel, hyp, SweepConfig(
+                results = [estimate_depth(window, intr, vel, hyp, SweepConfig(
                     num_scales=3, focus=FocusConfig(window_radius=3),
                     workers=workers)) for workers in (1, 2)]
                 sizes.append(len(costvol._POOLS[2][1]))
-                assert same_sweep(*results)
+                assert same_estimate(*results)
         finally:
             shutdown_pools()
         assert sizes[0] < sizes[1] == sizes[2]
         assert not costvol._POOLS
 
     def test_threads_sharing_the_pool_keep_results(self):
-        # two threads sweep and estimate depth on different sensors through
-        # one pool of more workers than this host may have cores; a window
-        # that read another thread's arena contents would differ from its
-        # one-worker result
+        # two threads estimate depth on different sensors through one pool
+        # of more workers than this host may have cores; a window that read
+        # another thread's arena contents would differ from its one-worker
+        # result
         window = random_window(4)
         hyp = inverse_depth_hypotheses(2.0, 10.0, 9)
         cases = [(TINY_INTR, VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
@@ -535,19 +508,15 @@ class TestBuildVolume:
             return SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3),
                                workers=workers)
 
-        refs = [build_volume(window, intr, vel, hyp, config(1))
+        refs = [estimate_depth(window, intr, vel, hyp, config(1))
                 for intr, vel in cases]
-        depth_refs = [estimate_depth(window, intr, vel, hyp, config(1))[0]
-                      for intr, vel in cases]
         matched = []
 
         def sweep(first):
-            for i in range(4):
+            for i in range(8):
                 k = (first + i) % 2
-                r = build_volume(window, *cases[k], hyp, config(3))
-                dm, _ = estimate_depth(window, *cases[k], hyp, config(3))
-                matched.append(same_sweep(r, refs[k])
-                               and np.array_equal(dm.depth, depth_refs[k].depth))
+                matched.append(same_estimate(
+                    estimate_depth(window, *cases[k], hyp, config(3)), refs[k]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -564,7 +533,7 @@ class TestBuildVolume:
         if not hung:                  # a hung sweep may hold the pool lock
             shutdown_pools()
         assert not hung
-        assert matched == [True] * 8
+        assert matched == [True] * 16
 
     def test_objective_sweep_constant_under_rotation(self):
         vel = VelocitySample(t=0.0, linear=(0.0, 0.0, 0.0),
@@ -602,6 +571,10 @@ class TestBuildVolume:
             with pytest.raises(ValueError, match="scale weights"):
                 AggregationConfig(scale_weights=weights)
         AggregationConfig(scale_weights=(0.0, 1.0))
+        with pytest.raises(ValueError, match="unknown fill policy 'inpaint'"):
+            AggregationConfig(fill="inpaint")
+        for policy in FILL_POLICIES:
+            AggregationConfig(fill=policy)
 
 
 def sensor_window(intr, seed, n=300):
@@ -613,22 +586,34 @@ def sensor_window(intr, seed, n=300):
     return EventWindow(events=ev, t_ref=float(ev["t"][-1]), t_span=0.1)
 
 
-def reference_estimate(window, intr, vel, hyp, sweep, agg):
-    """The whole-volume pipeline on one worker: the library stages in a
-    row, and the fused volume they read out."""
-    res = build_volume(window, intr, vel, hyp, replace(sweep, workers=1))
-    fused = multiscale_fuse([trend_filter(v, agg.trend_iterations,
-                                          agg.peak_alpha)
-                             for v in res.volumes], agg.scale_weights)
-    dm = extract_depth(fused, res.support, agg.min_support)
-    return fill_depth(dm, agg.fill), fused, res
+def reference_estimate(window, intr, vel, hyp, sweep, agg, sweep_window):
+    """The pipeline on whole volumes from the test references: the raw
+    sweep, ``padded_trend_filter`` at every scale, ``gather_fuse``, and an
+    argmax readout; returns the filled depth map, the fused volume and the
+    sweep's arrays."""
+    out = sweep_window(window, intr, vel, hyp, sweep)
+    fused = gather_fuse([padded_trend_filter(s, agg.trend_iterations,
+                                             agg.peak_alpha)
+                         for s in out.scores], agg.scale_weights)
+    d, h, w = fused.shape
+    idx = fused.argmax(axis=0)
+
+    def at(j):
+        return np.take_along_axis(fused, j[None], axis=0)[0]
+
+    dm = costvol._readout(
+        idx, at(idx), at(np.maximum(idx - 1, 0)), at(np.minimum(idx + 1, d - 1)),
+        fused.mean(axis=0),
+        np.take_along_axis(out.support, idx[None], axis=0)[0], hyp.inverse,
+        agg.min_support)
+    return fill_depth(dm, agg.fill), fused, out
 
 
 def assert_same_estimate(got, want):
     (dm, summary), (ref, fused, res) = got, want
     for name in ("depth", "confidence", "flags"):
         assert np.array_equal(getattr(dm, name), getattr(ref, name)), name
-    assert np.array_equal(summary.winner, fused.scores.argmax(axis=0))
+    assert np.array_equal(summary.winner, fused.argmax(axis=0))
     assert np.array_equal(summary.discarded, res.discarded)
     assert np.array_equal(summary.mass, res.mass)
     # up to 8 measured pixels, spread evenly in row-major order
@@ -637,11 +622,11 @@ def assert_same_estimate(got, want):
     pixels = list(zip(ys[::step][:8].tolist(), xs[::step][:8].tolist()))
     assert list(summary.curves) == pixels
     for (y, x), curve in summary.curves.items():
-        assert np.array_equal(curve, fused.scores[:, y, x])
+        assert np.array_equal(curve, fused[:, y, x])
 
 
 class TestEstimateDepthBands:
-    """The band pipeline against the whole-volume stages, bit for bit."""
+    """The band pipeline against the whole-volume references, bit for bit."""
 
     # (width, height, scales, hypotheses, trend iterations, peak alpha,
     # events)
@@ -656,7 +641,7 @@ class TestEstimateDepthBands:
     @pytest.mark.parametrize("block_bytes", [1, 2_000, 1 << 19],
                              ids=["slice", "blocks", "whole"])
     def test_maps_winner_and_curves_match_whole_volume_stages(
-            self, monkeypatch, block_bytes):
+            self, monkeypatch, sweep_window, block_bytes):
         shutdown_pools()              # the pools fork with these sizes
         monkeypatch.setattr(costvol, "_BLOCK_BYTES", block_bytes)
         # every window drops its mappings, which must keep the data
@@ -675,7 +660,8 @@ class TestEstimateDepthBands:
                     scale_weights=tuple(np.linspace(1.0, 0.5, scales)),
                     trend_iterations=iters, peak_alpha=alpha, min_support=0.3,
                     fill="nearest-valid")
-                want = reference_estimate(window, intr, vel, hyp, sweep, agg)
+                want = reference_estimate(window, intr, vel, hyp, sweep, agg,
+                                          sweep_window)
                 assert want[0].valid.any()
                 for workers in (1, 2, 3, 4):
                     got = estimate_depth(window, intr, vel, hyp,
