@@ -30,7 +30,7 @@ from .metrics import aggregate_reports, evaluate
 from .motion import (CameraRig, inject_velocity_noise, interpolate_velocity,
                      load_camera, load_track, average_velocity_norms,
                      save_camera, save_track)
-from .synth import SceneSpec, generate, load_scene, save_scene
+from .synth import generate, load_scene, save_scene
 
 log = logging.getLogger("evdepth")
 
@@ -336,7 +336,7 @@ def cmd_depth(args) -> int:
         flags = depth_map.flags
         write_pgm(args.out / f"mask_{i:04d}.pgm",
                   np.select([flags == FLAG_MEASURED, flags == FLAG_FILLED],
-                            [255, 128]), normalize=False)     # invalid: 0
+                            [255, 128]))     # invalid: 0
         write_pfm(args.out / f"confidence_{i:04d}.pfm", depth_map.confidence)
         diag = {
             "window": i,

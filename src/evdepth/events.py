@@ -5,6 +5,7 @@ objects; every downstream stage consumes whole columns at once.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,8 +118,13 @@ def form_windows(stream: np.ndarray, max_count: int,
 
 
 # ---------------------------------------------------------------------------
-# On-disk formats: text is `t u v p` per line (# comments), binary is the
-# packed EVENT_DTYPE records.
+# On-disk formats: text is `t u v p` per line (everything after a `#` is a
+# comment), binary is the packed EVENT_DTYPE records.  Text integers parse
+# as int64, so that a value outside EVENT_DTYPE's range is rejected, not
+# wrapped.
+_TEXT_DTYPE = np.dtype([("t", "f8"), ("u", "i8"), ("v", "i8"), ("p", "i8")])
+_TEXT_MAX = {name: int(np.iinfo(EVENT_DTYPE[name]).max) for name in "uvp"}
+
 
 def save_events_text(path: str | Path, events: np.ndarray) -> None:
     with open(path, "w") as fh:
@@ -128,23 +134,38 @@ def save_events_text(path: str | Path, events: np.ndarray) -> None:
 
 
 def load_events_text(path: str | Path) -> np.ndarray:
-    ts, us, vs, ps = [], [], [], []
+    """Rows of `t u v p`; every error reads ``path:lineno: ...``."""
+    try:
+        with warnings.catch_warnings():     # no rows is zero events
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, dtype=_TEXT_DTYPE, comments="#", ndmin=1)
+    except ValueError as exc:
+        raise _first_bad_line(path, str(exc)) from None
+    for name, top in _TEXT_MAX.items():
+        if rows.size and not 0 <= rows[name].min() <= rows[name].max() <= top:
+            raise _first_bad_line(path, "a value is out of range")
+    return make_events(rows["t"], rows["u"], rows["v"], rows["p"])
+
+
+def _first_bad_line(path, fallback: str) -> ValueError:
+    """The error of the first line that does not parse or holds a value out
+    of range; ``np.loadtxt`` counts rows, not lines, so this runs on failure."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            parts = line.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 't u v p', got {line!r}")
             try:
-                ts.append(float(parts[0]))
-                us.append(int(parts[1]))
-                vs.append(int(parts[2]))
-                ps.append(int(parts[3]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return make_events(ts, us, vs, ps)
+                if len(parts) != 4:
+                    raise ValueError(f"expected 't u v p', got {line.strip()!r}")
+                float(parts[0])
+                for (name, top), text in zip(_TEXT_MAX.items(), parts[1:]):
+                    if not 0 <= int(text) <= top:
+                        raise ValueError(f"{name} {text} outside 0..{top}")
+            except ValueError as err:
+                return ValueError(f"{path}:{lineno}: {err}")
+    # np.loadtxt rejected a value Python parses (say `1_0`)
+    return ValueError(f"{path}: {fallback}")
 
 
 def save_events_binary(path: str | Path, events: np.ndarray) -> None:

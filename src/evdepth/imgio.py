@@ -57,21 +57,21 @@ def read_pfm(path: str | Path) -> np.ndarray:
     return data.reshape(h, w)[::-1].astype(np.float32)
 
 
-def write_pgm(path: str | Path, image: np.ndarray,
-              normalize: bool = True) -> None:
-    """8-bit binary PGM; by default max-normalizes float input to 0..255."""
+def write_pgm(path: str | Path, image: np.ndarray) -> None:
+    """8-bit binary PGM of whole grey levels 0..255, written as given."""
     data = np.asarray(image)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {data.shape}")
-    if normalize:
-        peak = float(data.max()) if data.size else 0.0
-        scaled = data / peak * 255.0 if peak > 0 else np.zeros_like(data, dtype=np.float64)
-        data = np.clip(np.rint(scaled), 0, 255)
-    data = data.astype(np.uint8)
-    h, w = data.shape
+    if data.size and not 0 <= data.min() <= data.max() <= 255:
+        raise ValueError(f"grey levels must lie in 0..255, got "
+                         f"{data.min()}..{data.max()}")
+    levels = data.astype(np.uint8)
+    if not np.array_equal(levels, data):
+        raise ValueError("grey levels must be whole numbers")
+    h, w = levels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
+        fh.write(levels.tobytes())
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -34,36 +34,40 @@ def accumulate(warped: np.ndarray, resolution: tuple[int, int],
     w, h = resolution
     if w < 1 or h < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    x = warped[:, 0]
-    y = warped[:, 1]
+    x, y = warped[:, 0], warped[:, 1]
     n = x.shape[0]
-    grid = np.zeros(h * w, dtype=np.float64)
 
     if splat == "nearest":
         xi = np.rint(x).astype(np.int64)
         yi = np.rint(y).astype(np.int64)
         ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
         wts = np.ones(n, dtype=np.float64) if weights is None else weights
+        grid = np.zeros(h * w, dtype=np.float64)
         grid += np.bincount(yi[ok] * w + xi[ok], weights=wts[ok], minlength=h * w)
         kept = int(ok.sum())
     elif splat == "bilinear":
         ok = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-        xk = x[ok]
-        yk = y[ok]
-        wts = np.ones(xk.shape[0], dtype=np.float64) if weights is None else weights[ok]
-        x0 = np.floor(xk).astype(np.int64)
-        y0 = np.floor(yk).astype(np.int64)
-        fx = xk - x0
-        fy = yk - y0
-        # Clamp the far corner so x == w-1 (weight 0 there) stays indexable.
-        x1 = np.minimum(x0 + 1, w - 1)
-        y1 = np.minimum(y0 + 1, h - 1)
-        for yy, xx, ww in ((y0, x0, (1 - fx) * (1 - fy)),
-                           (y0, x1, fx * (1 - fy)),
-                           (y1, x0, (1 - fx) * fy),
-                           (y1, x1, fx * fy)):
-            grid += np.bincount(yy * w + xx, weights=wts * ww, minlength=h * w)
-        kept = int(ok.sum())
+        xk, yk = x[ok], y[ok]
+        wts = None if weights is None else weights[ok]
+        x0 = xk.astype(np.int64)          # truncation is floor for x >= 0
+        y0 = yk.astype(np.int64)
+        fx, fy = xk - x0, yk - y0
+        gx, gy = 1 - fx, 1 - fy
+        # A grid padded by one row and column takes the far corner of
+        # x == w-1 or y == h-1 (weight 0) unclamped, and is sliced off.  One
+        # flat index stepped +1, +w, +1 visits the four corners in order.
+        size = (h + 1) * (w + 1)
+        idx = y0 * (w + 1) + x0
+        padded = np.zeros(size, dtype=np.float64)
+        for step, wx, wy in ((0, gx, gy), (1, fx, gy), (w, gx, fy), (1, fx, fy)):
+            if step:
+                idx += step
+            ww = wx * wy
+            if wts is not None:
+                ww *= wts
+            padded += np.bincount(idx, weights=ww, minlength=size)
+        grid = np.ascontiguousarray(padded.reshape(h + 1, w + 1)[:h, :w])
+        kept = xk.shape[0]
     else:
         raise ValueError(f"unknown splat mode {splat!r}")
 

@@ -104,10 +104,11 @@ def motion_field(intrinsics: CameraIntrinsics, velocity: VelocitySample,
 class EventWarp:
     """One window's events warped to t_ref under any depth hypothesis.
 
-    The flow terms are gathered at the events' own pixels once; each call
-    ``warp(d)`` then returns the (N, 2) sub-pixel (x, y) coordinates under
-    depth d.  Out-of-bounds results pass through untouched; accumulation
-    decides their fate.
+    The flow terms are gathered at the events' own pixels once, as (2, N)
+    rows; each call ``warp(d)`` then returns the (N, 2) sub-pixel (x, y)
+    coordinates under depth d, a transposed view with contiguous columns.
+    Out-of-bounds results pass through untouched; accumulation decides
+    their fate.
     """
 
     def __init__(self, window: EventWindow, intrinsics: CameraIntrinsics,
@@ -117,13 +118,19 @@ class EventWarp:
         if u.size and (u.max() >= intrinsics.width or v.max() >= intrinsics.height):
             raise ValueError(f"events lie outside the {intrinsics.width}x"
                              f"{intrinsics.height} sensor")
-        self.pixels = np.stack([u, v], axis=1).astype(np.float64)
-        self.trans, self.rot = flow_terms(intrinsics, velocity, u, v)
-        self.dt = window.offsets[:, None]
+        self.pixels = np.stack([u, v]).astype(np.float64)
+        self.trans, self.rot = (np.ascontiguousarray(term.T) for term in
+                                flow_terms(intrinsics, velocity, u, v))
+        self.dt = window.offsets
 
     def __call__(self, d: float) -> np.ndarray:
         _check_depth(d)
-        return self.pixels + (self.trans / d + self.rot) * self.dt
+        # pixels + (trans / d + rot) * dt, in place in one buffer
+        out = self.trans / d
+        out += self.rot
+        out *= self.dt
+        out += self.pixels
+        return out.T
 
 
 # ---------------------------------------------------------------------------

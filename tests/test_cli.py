@@ -386,6 +386,20 @@ def test_bad_text_value_names_file_and_line(dataset, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_of_range_text_value_names_file_and_line(dataset, tmp_path, capsys):
+    # 65540 once wrapped to column 4 and passed the sensor check
+    events = tmp_path / "bad.txt"
+    events.write_text("# t u v p\n0.0 1 2 1\n0.1 65540 2 1\n")
+    rc = main(["depth", "--events", str(events),
+               "--camera", str(dataset / "camera.json"),
+               "--track", str(dataset / "track.txt"),
+               "--out", str(tmp_path / "out"), *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: event stream {events}:3: u 65540 outside 0..65535")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["depth", "ablate"])
 @pytest.mark.parametrize("flag", ["--max-count", "--max-interval", "--threads"])
 def test_zero_valued_flags_are_config_errors_naming_the_flag(

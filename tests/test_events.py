@@ -1,5 +1,8 @@
 """Event records, window formation, and the on-disk stream formats."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +155,74 @@ class TestFileFormats:
         ev = load_events_text(path)
         assert len(ev) == 2
         assert ev["u"][1] == 3
+
+    def test_text_round_trip_is_byte_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 3000
+        t = np.sort(np.concatenate([
+            rng.uniform(0.0, 3.0, n - 6),
+            [0.0, 5e-324, 1e-300, 1.0 / 3.0, 0.1, 2.0 ** 52 + 0.5]]))
+        ev = make_events(t, rng.integers(0, 65536, n), rng.integers(0, 65536, n),
+                         rng.integers(0, 256, n))
+        ev[-1]["u"], ev[-1]["v"], ev[-1]["p"] = 65535, 65535, 255
+        path = tmp_path / "events.txt"
+        save_events_text(path, ev)
+        assert load_events_text(path).tobytes() == ev.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=20))
+    def test_text_round_trip_any_finite_timestamp(self, tmp_path_factory, ts):
+        ev = make_events(ts, [1] * len(ts), [2] * len(ts), [1] * len(ts))
+        path = tmp_path_factory.mktemp("rt") / "events.txt"
+        save_events_text(path, ev)
+        assert load_events_text(path).tobytes() == ev.tobytes()
+
+    def test_text_trailing_comment_and_one_row(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("0.25 7 8 1   # a note after the values\n")
+        ev = load_events_text(path)
+        assert ev.shape == (1,)
+        assert ev.tobytes() == make_events([0.25], [7], [8], [1]).tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# t u v p\n", "# a\n\n  # b\n"],
+                             ids=["empty", "blank", "header", "comments"])
+    def test_text_without_rows_is_zero_events(self, tmp_path, capfd, text):
+        path = tmp_path / "events.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = load_events_text(path)
+        assert ev.dtype == EVENT_DTYPE and ev.shape == (0,)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.0 65536 2 1", "u 65536 outside 0..65535"),
+        ("0.0 65540 2 1", "u 65540 outside 0..65535"),
+        ("0.0 -1 2 1", "u -1 outside 0..65535"),
+        ("0.0 1 70000 1", "v 70000 outside 0..65535"),
+        ("0.0 1 2 256", "p 256 outside 0..255"),
+        ("0.0 1 2 300", "p 300 outside 0..255"),
+        ("0.0 1 2 -1", "p -1 outside 0..255"),
+        ("0.0 99999999999999999999 2 1", "u 99999999999999999999 outside 0..65535"),
+        ("abc 1 2 1", "could not convert string to float: 'abc'"),
+        ("0.0 1.5 2 1", "invalid literal for int() with base 10: '1.5'"),
+        ("0.0 1 2", "expected 't u v p', got '0.0 1 2'"),
+        ("0.0 1 2 1 5", "expected 't u v p', got '0.0 1 2 1 5'"),
+    ])
+    def test_text_bad_row_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "events.txt"
+        # the bad row is on line 5, the second data row
+        path.write_text(f"# t u v p\n0.0 1 2 1\n\n# note\n{row}\n0.5 3 4 0\n")
+        with pytest.raises(ValueError) as info:
+            load_events_text(path)
+        assert str(info.value) == f"{path}:5: {message}"
+
+    def test_text_value_only_python_parses_still_names_path(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("0.0 1_0 2 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_events_text(path)
 
     def test_binary_round_trip(self, tmp_path):
         ev = ramp_stream(9)

@@ -58,15 +58,24 @@ class TestPgm:
     def test_round_trip_uint8(self, tmp_path):
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, normalize=False)
+        write_pgm(path, img)
         np.testing.assert_array_equal(read_pgm(path), img)
 
-    def test_normalization_maps_peak_to_255(self, tmp_path):
-        img = np.array([[0.0, 0.5, 2.0]])
+    def test_levels_written_as_given(self, tmp_path):
+        # no normalisation: a float or int image keeps its grey levels
         path = tmp_path / "img.pgm"
-        write_pgm(path, img)
-        out = read_pgm(path)
-        np.testing.assert_array_equal(out, [[0, 64, 255]])
+        write_pgm(path, np.array([[0.0, 64.0, 128.0]]))
+        np.testing.assert_array_equal(read_pgm(path), [[0, 64, 128]])
+        write_pgm(path, np.array([[0, 128, 255]], dtype=np.int64))
+        np.testing.assert_array_equal(read_pgm(path), [[0, 128, 255]])
+
+    @pytest.mark.parametrize("value", [-1, 256, 300, 12.5, np.nan],
+                             ids=["negative", "256", "300", "fraction", "nan"])
+    def test_rejects_values_that_are_not_levels(self, tmp_path, value):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match="grey levels"):
+            write_pgm(path, np.array([[0.0, value]]))
+        assert not path.exists()
 
     def test_all_zero_image(self, tmp_path):
         path = tmp_path / "img.pgm"

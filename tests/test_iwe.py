@@ -73,6 +73,62 @@ class TestBilinear:
         np.testing.assert_allclose(out.mass, 0.75)
 
 
+def clamped_splat(warped, resolution, weights=None):
+    """Reference bilinear splat: floor, the far corner clamped onto the last
+    row or column, one ``bincount`` per corner over an unpadded grid."""
+    w, h = resolution
+    x, y = warped[:, 0], warped[:, 1]
+    ok = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    xk, yk = x[ok], y[ok]
+    wts = np.ones(xk.shape[0]) if weights is None else weights[ok]
+    x0 = np.floor(xk).astype(np.int64)
+    y0 = np.floor(yk).astype(np.int64)
+    fx, fy = xk - x0, yk - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    grid = np.zeros(h * w)
+    for yy, xx, ww in ((y0, x0, (1 - fx) * (1 - fy)), (y0, x1, fx * (1 - fy)),
+                       (y1, x0, (1 - fx) * fy), (y1, x1, fx * fy)):
+        grid += np.bincount(yy * w + xx, weights=wts * ww, minlength=h * w)
+    return grid.reshape(h, w), int(x.shape[0] - ok.sum())
+
+
+class TestBilinearReference:
+    """The padded single-index splat equals the clamped one bit for bit."""
+
+    @staticmethod
+    def points(rng, w, h, n):
+        pts = np.column_stack([rng.uniform(-1.5, w + 0.5, n),
+                               rng.uniform(-1.5, h + 0.5, n)])
+        kind = rng.integers(0, 16, n)              # 8..15: left as drawn
+        pts[kind == 0, 0] = w - 1                  # exact last column
+        pts[kind == 1, 1] = h - 1                  # exact last row
+        pts[kind == 2] = (w - 1, h - 1)            # exact far corner
+        pts[kind == 3] = np.floor(pts[kind == 3])  # integer positions
+        # just outside each side
+        pts[kind == 4, 0] = -1e-9
+        pts[kind == 5, 0] = w - 1 + 1e-9
+        pts[kind == 6, 1] = -1e-9
+        pts[kind == 7, 1] = h - 1 + 1e-9
+        return pts
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_clamped_reference(self, weighted):
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            w, h = (int(k) for k in rng.integers(1, 24, size=2))
+            n = int(rng.integers(0, 300))
+            pts = self.points(rng, w, h, n)
+            if trial % 2:
+                pts = np.ascontiguousarray(pts.T).T     # the warp's layout
+            weights = rng.normal(size=n) if weighted else None
+            out = accumulate(pts, (w, h), splat="bilinear", weights=weights)
+            grid, discarded = clamped_splat(pts, (w, h), weights)
+            assert np.array_equal(out.grid, grid)
+            assert out.discarded == discarded
+            assert out.grid.flags.c_contiguous
+
+
 class TestAccumulateGeneral:
     def test_empty_input(self):
         out = accumulate(np.empty((0, 2)), resolution=(4, 4), splat="nearest")

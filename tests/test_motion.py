@@ -154,7 +154,11 @@ class TestWarpEvents:
         warp = EventWarp(window, intr, velocity)
         for d in np.geomspace(0.5, 200.0, 97):
             ref = field_gather_warp(window, intr, velocity, d)
-            assert np.array_equal(warp(d), ref)
+            out = warp(d)
+            assert out.shape == (n, 2)
+            assert np.array_equal(out, ref)
+            # x and y are contiguous rows for the splat to read
+            assert out[:, 0].flags.c_contiguous and out[:, 1].flags.c_contiguous
 
 
 class TestInterpolateVelocity:
