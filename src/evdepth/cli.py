@@ -261,17 +261,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# Config fields set by a flag of another name, whose range errors start
+# with the field's name.
+_FIELD_FLAGS = {"num_scales": "--scales", "workers": "--threads",
+                "window_radius": "--window-radius",
+                "trend_iterations": "--trend-iters"}
+
+
 def _pipeline_configs(args):
     """The hypothesis set and the sweep and aggregation configs of a run.
 
-    The configs check their own fields.  The checks made here span flags,
-    have no config field, or (--threads) must name the flag, not the field."""
+    The configs check their own fields, and an error that starts with a
+    field in ``_FIELD_FLAGS`` names its flag instead.  The checks made here
+    span flags or have no config field."""
     if args.scale_weights is not None and len(args.scale_weights) != args.scales:
         raise ConfigError(f"--scale-weights needs {args.scales} values")
     if args.noise < 0:
         raise ConfigError("--noise must be >= 0")
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     if args.max_count < 1:
         raise ConfigError(f"--max-count must be >= 1, got {args.max_count}")
     if not args.max_interval > 0:
@@ -290,7 +296,9 @@ def _pipeline_configs(args):
                                 min_support=args.min_support,
                                 fill=args.fill)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        field, _, rest = str(exc).partition(" ")
+        flag = _FIELD_FLAGS.get(field)
+        raise ConfigError(f"{flag} {rest}" if flag else str(exc)) from exc
     return hyp, sweep, agg
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import EventWindow
-from .focus import (VOLUME_KINDS, FocusConfig, box_window_sum, objective,
-                    volume_score_map)
+from .focus import VOLUME_KINDS, FocusConfig, objective, volume_score_map
 from .iwe import accumulate, build_pyramid
 from .motion import CameraIntrinsics, EventWarp, VelocitySample
 
@@ -110,9 +109,9 @@ class SweepConfig:
                 f"objective {self.focus.kind!r} has no per-pixel score map; "
                 f"depth estimation supports {', '.join(sorted(VOLUME_KINDS))}")
         if self.num_scales < 1:
-            raise ValueError("num_scales must be >= 1")
+            raise ValueError(f"num_scales must be >= 1, got {self.num_scales}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ class _WindowArrays:
     """Everything one window writes: the sweep's outputs, then the (H, W)
     maps that the band readout fills."""
     scores: list              # per-scale (D, Hk, Wk) float64 score volumes
-    support: np.ndarray       # (D, H, W) float32
+    iwe: np.ndarray           # (D, H, W) float32 IWE grids
     discarded: np.ndarray     # (D,) int64
     mass: np.ndarray          # (D,) float64
     depth: np.ndarray         # (H, W) float64
@@ -193,15 +192,15 @@ def _window_arrays(layout, buffer=None) -> _WindowArrays:
 
 def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config):
     """Score hypotheses ``lo..hi-1`` into the window arrays ``out``: the
-    per-scale score volumes, then support, discarded and mass."""
+    per-scale score volumes, then the IWE, discarded and mass."""
     warp = EventWarp(window, intrinsics, velocity)
     for j in range(lo, hi):
         iwe = accumulate(warp(depths[j]), intrinsics.resolution,
                          splat=config.splat)
         levels = build_pyramid(iwe.grid, config.num_scales)
         for k, grid in enumerate(levels):
-            out.scores[k][j] = volume_score_map(grid, config.focus)
-        out.support[j] = box_window_sum(iwe.grid, config.focus.window_radius)
+            volume_score_map(grid, config.focus, out=out.scores[k][j])
+        out.iwe[j] = iwe.grid
         out.discarded[j] = iwe.discarded
         out.mass[j] = iwe.mass
 
@@ -262,7 +261,7 @@ def _window_task(task) -> bool:
         _worker_barrier.wait(_BARRIER_TIMEOUT_S)
     except threading.BrokenBarrierError:
         return False
-    _aggregate_band(out, *rows, 1.0 / depths, agg)
+    _aggregate_band(out, *rows, 1.0 / depths, agg, sweep.focus.window_radius)
     _drop_mapping(_worker_arena, nbytes)
     return True
 
@@ -358,31 +357,41 @@ def _trend_filter_inplace(s: np.ndarray, iterations: int, peak_alpha: float,
     one saved slice: the one before it, as it was.
     """
     d = len(s)
+    block = np.empty((min(step, d), *s.shape[1:]))
+    before = np.empty(s.shape[1:])
     for _ in range(iterations):
-        before = s[0].copy()          # hypothesis 0's replicated neighbour
+        np.copyto(before, s[0])       # hypothesis 0's replicated neighbour
         for a in range(0, d, step):
             b = min(a + step, d)
             # (prev + 2 * cur + next) / 4 with replicated ends, added in
             # the order of the whole-volume sums
-            out = s[a:b] * 2.0
+            out = np.multiply(s[a:b], 2.0, out=block[:b - a])
             out[0] += before
             out[1:] += s[a:b - 1]
             out[:-1] += s[a + 1:b]
             out[-1] += s[min(b, d - 1)]
             out *= 0.25
-            before = s[b - 1].copy()
+            np.copyto(before, s[b - 1])
             s[a:b] = out
     peak = s.max(axis=0)
     if peak_alpha > 0 and d >= 3:
         limit = peak_alpha * peak
-        before = s[0].copy()
+        np.copyto(before, s[0])
         for a in range(1, d - 1, step):
             b = min(a + step, d - 1)
+            # each slice's previous one is ``before`` for the first of the
+            # block, then the block's own slices
             cur, nxt = s[a:b], s[a + 1:b + 1]
-            prev = np.concatenate([before[None], s[a:b - 1]])
-            weak = (cur > prev) & (cur > nxt) & (cur < limit)
-            mid = 0.5 * (prev + nxt)
-            before = s[b - 1].copy()
+            weak = np.empty(cur.shape, dtype=bool)
+            np.greater(cur[0], before, out=weak[0])
+            np.greater(cur[1:], s[a:b - 1], out=weak[1:])
+            weak &= cur > nxt
+            weak &= cur < limit
+            mid = block[:b - a]
+            np.add(before, nxt[0], out=mid[0])
+            np.add(s[a:b - 1], nxt[1:], out=mid[1:])
+            mid *= 0.5
+            np.copyto(before, s[b - 1])
             np.copyto(cur, mid, where=weak)
         peak = s.max(axis=0)
     return peak
@@ -414,13 +423,21 @@ def _fuse_block(levels, divisors, weights, out) -> np.ndarray:
     their curves' maxima.  Each level's curves are normalised and weighted
     at the level's own scale, upsampled nearest-neighbour, and summed.
     """
-    _, h, w = out.shape
+    n, h, w = out.shape
     for k, (level, divisor, wk) in enumerate(zip(levels, divisors, weights)):
         if k:
             norm = level / divisor
             norm *= wk
             f = 2 ** k
-            out += norm.repeat(f, axis=1)[:, :h].repeat(f, axis=2)[:, :, :w]
+            wide = norm.repeat(f, axis=2)[:, :, :w]
+            # whole groups of f rows, each upsampled from one coarse row,
+            # then the rows left over at the bottom
+            full = h // f
+            s0, s1, s2 = out.strides
+            groups = np.lib.stride_tricks.as_strided(
+                out, (n, full, f, w), (s0, f * s1, s1, s2))
+            groups += wide[:, :full, None]
+            out[:, full * f:] += wide[:, full:full + 1]
         else:
             np.divide(level, divisor, out=out)
             out *= wk
@@ -432,6 +449,30 @@ def _fuse_block(levels, divisors, weights, out) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Depth extraction
+
+def _support_at(iwe, idx, r0, side) -> np.ndarray:
+    """The sum over each pixel's ``side`` x ``side`` window, clipped at the
+    sensor's borders, of the IWE of its winning hypothesis.  ``idx`` holds
+    the winners of rows ``r0..`` of the (D, H, W) IWE volume ``iwe``."""
+    _, height, w = iwe.shape
+    h = len(idx)
+    flat = iwe.reshape(-1)
+    # each pixel's own flat index in its winner's IWE
+    own = idx * (height * w) + (np.arange(r0, r0 + h)[:, None] * w
+                                + np.arange(w))
+    support = np.zeros((h, w))
+    half = side // 2
+    for dy in range(-half, half + 1):
+        # the band rows and columns whose neighbour at (dy, dx) is on the
+        # sensor
+        y0, y1 = max(-r0 - dy, 0), min(height - r0 - dy, h)
+        for dx in range(-half, half + 1):
+            x0, x1 = max(-dx, 0), min(w - dx, w)
+            if y0 < y1 and x0 < x1:
+                support[y0:y1, x0:x1] += flat[own[y0:y1, x0:x1]
+                                              + (dy * w + dx)]
+    return support
+
 
 def _readout(idx, peak, lo, hi, mean, support_at, inverse,
              min_support) -> DepthMap:
@@ -450,7 +491,7 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse,
     step_dn = q_at - inverse[np.maximum(idx - 1, 0)]
     q_refined = q_at + np.where(offset >= 0, offset * step_up, offset * step_dn)
 
-    valid = support_at.astype(np.float64) >= min_support
+    valid = support_at >= min_support
     confidence = np.ones(idx.shape, dtype=np.float64)
     np.divide(peak, mean, out=confidence, where=mean > 0)
     depth = np.where(valid, 1.0 / q_refined, DEPTH_SENTINEL)
@@ -459,11 +500,12 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse,
 
 
 def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
-                    agg: AggregationConfig) -> None:
+                    agg: AggregationConfig, side: int) -> None:
     """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
     a swept window in place, and write their depth, confidence, flags and
     winner.  ``r0`` is a multiple of 2**(scales-1), so every pyramid
-    level's band is whole.
+    level's band is whole.  A pixel's support is the mass of its winner's
+    IWE in the ``side`` x ``side`` window around it.
 
     Every step reduces over hypotheses one pixel at a time, in the order
     of filtering, fusing and reading out whole volumes, so the maps are
@@ -475,7 +517,7 @@ def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
     if r0 == r1:
         return
     weights = _scale_weights(agg.scale_weights, len(out.scores))
-    d, _, w = out.support.shape
+    d, _, w = out.iwe.shape
     h = r1 - r0
     levels, divisors = [], []
     for k, scores in enumerate(out.scores):
@@ -509,8 +551,8 @@ def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
             prev = s
     np.copyto(hi, best, where=new)    # winners at hypothesis D-1
 
-    support = np.take_along_axis(out.support[:, r0:r1], idx[None], axis=0)[0]
-    band_map = _readout(idx, best, lo, hi, total / d, support, inverse,
+    band_map = _readout(idx, best, lo, hi, total / d,
+                        _support_at(out.iwe, idx, r0, side), inverse,
                         agg.min_support)
     out.depth[r0:r1] = band_map.depth
     out.confidence[r0:r1] = band_map.confidence
@@ -603,7 +645,8 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
     if sweep.workers == 1:
         out = _window_arrays(layout)
         _sweep_into(out, window, intrinsics, velocity, depths, 0, d, sweep)
-        _aggregate_band(out, 0, h, hypotheses.inverse, agg)
+        _aggregate_band(out, 0, h, hypotheses.inverse, agg,
+                        sweep.focus.window_radius)
         depth_map, summary = _read_window(out, weights)
     else:
         align = 2 ** (sweep.num_scales - 1)

@@ -105,7 +105,8 @@ def form_windows(stream: np.ndarray, max_count: int,
     check_stream(stream)
 
     windows: list[EventWindow] = []
-    t = stream["t"]
+    # one contiguous copy: searchsorted copies a strided field view per call
+    t = np.ascontiguousarray(stream["t"])
     n = len(stream)
     start = 0
     while start < n:

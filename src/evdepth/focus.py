@@ -44,56 +44,99 @@ class FocusConfig:
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.window_radius < 1 or self.window_radius % 2 == 0:
-            raise ValueError(f"window radius must be odd >= 1, got {self.window_radius}")
+            raise ValueError(
+                f"window_radius must be odd >= 1, got {self.window_radius}")
+
+
+def _along(grid: np.ndarray, out: np.ndarray, axis: int):
+    """``grid`` and ``out`` as arrays whose axis 0 steps along ``axis``, for
+    the interior differences.  Along rows (axis 1) both are flattened, so
+    that the differences run over contiguous memory; those that straddle two
+    rows land in the border columns, which the caller sets afterwards."""
+    if axis:
+        return np.ascontiguousarray(grid).reshape(-1), out.reshape(-1)
+    return grid, out
+
+
+def _gradient(grid: np.ndarray, axis: int) -> np.ndarray:
+    """np.gradient along ``axis`` for unit spacing: central differences
+    halved inside, one-sided differences at the borders."""
+    out = np.empty_like(grid)
+    g, o = _along(grid, out, axis)
+    np.subtract(g[2:], g[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0
+    g, o = (grid.T, out.T) if axis else (grid, out)
+    np.subtract(g[1], g[0], out=o[0])
+    np.subtract(g[-1], g[-2], out=o[-1])
+    return out
 
 
 def _second_difference(grid: np.ndarray, axis: int) -> np.ndarray:
     """Central second difference, one-sided (forward/backward) at borders."""
-    g = np.moveaxis(grid, axis, 0)
-    out = np.empty_like(g)
-    out[1:-1] = g[2:] - 2 * g[1:-1] + g[:-2]
-    out[0] = g[0] - 2 * g[1] + g[2]
-    out[-1] = g[-1] - 2 * g[-2] + g[-3]
-    return np.moveaxis(out, 0, axis)
+    out = np.empty_like(grid)
+    g, o = _along(grid, out, axis)
+    # g[2:] - 2 * g[1:-1] + g[:-2], evaluated left to right
+    np.multiply(g[1:-1], 2.0, out=o[1:-1])
+    np.subtract(g[2:], o[1:-1], out=o[1:-1])
+    o[1:-1] += g[:-2]
+    g, o = (grid.T, out.T) if axis else (grid, out)
+    o[0] = g[0] - 2 * g[1] + g[2]
+    o[-1] = g[-1] - 2 * g[-2] + g[-3]
+    return out
 
 
 def weighted_gradients(grid: np.ndarray, weights: FocusWeights) -> np.ndarray:
     """Weighted sum of the absolute gradient channels, in CHANNELS order.
 
     Absolute values stop signed derivatives from cancelling; the squaring
-    happens in window_energy.  Only channels with a nonzero weight (and the
+    happens in the window energy.  Only channels with a nonzero weight (and the
     channels they derive from) are computed.  First order uses central
     differences (one-sided at borders, matching np.gradient); the mixed term
     is the v-gradient of gx; the product channel is gxx * gyy.  Needs at
-    least a 3x3 grid.
+    least a 3x3 grid.  The sum is formed in the first channel's buffer, and
+    equals ``0.0 + w0 * |c0| + w1 * |c1| + ...`` bit for bit.
     """
     h, w = grid.shape
     if h < 3 or w < 3:
         raise ValueError(f"grid {h}x{w} too small for gradients (needs >= 3x3)")
     w_x, w_y, w_xx, w_yy, w_xy, w_xxyy = weights.values
     # axis 0 is v (rows), axis 1 is u (columns)
-    gx = np.gradient(grid, axis=1) if w_x or w_xy else None
-    gy = np.gradient(grid, axis=0) if w_y else None
+    gx = _gradient(grid, axis=1) if w_x or w_xy else None
+    gy = _gradient(grid, axis=0) if w_y else None
     gxx = _second_difference(grid, axis=1) if w_xx or w_xxyy else None
     gyy = _second_difference(grid, axis=0) if w_yy or w_xxyy else None
-    gxy = np.gradient(gx, axis=0) if w_xy else None
+    gxy = _gradient(gx, axis=0) if w_xy else None
     gxxyy = gxx * gyy if w_xxyy else None
-    out = np.zeros(grid.shape)
+    out = None
     for wt, m in zip(weights.values, (gx, gy, gxx, gyy, gxy, gxxyy)):
-        if wt != 0:
-            out += wt * np.abs(m)
+        if wt == 0:
+            continue
+        np.abs(m, out=m)
+        if wt != 1:
+            m *= wt
+        if out is None:
+            out = m
+            if wt < 0:
+                out += 0.0            # as 0.0 + x: -0.0 adds as zero
+        else:
+            out += m
     return out
 
 
-def box_window_sum(grid: np.ndarray, radius: int) -> np.ndarray:
+def box_window_sum(grid: np.ndarray, radius: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Sum over the r x r window centered at each pixel, clipped at borders.
 
-    ``radius`` is the window side r (odd); implemented with an integral image.
+    ``radius`` is the window side r (odd); implemented with an integral
+    image.  The sums go to ``out`` if given, else to a new array.
     """
     if radius < 1 or radius % 2 == 0:
         raise ValueError(f"window side must be odd >= 1, got {radius}")
+    if out is None:
+        out = np.empty(grid.shape)
     if radius == 1:
-        return grid.copy()
+        np.copyto(out, grid)
+        return out
     h, w = grid.shape
     half = radius // 2
     # Zero margins (half + 1 before, half after) clamp every window to the
@@ -102,34 +145,48 @@ def box_window_sum(grid: np.ndarray, radius: int) -> np.ndarray:
     sat[half + 1:half + 1 + h, half + 1:half + 1 + w] = grid
     np.cumsum(sat, axis=0, out=sat)
     np.cumsum(sat, axis=1, out=sat)
-    return (sat[radius:, radius:] - sat[:h, radius:] - sat[radius:, :w]
-            + sat[:h, :w])
+    np.subtract(sat[radius:, radius:], sat[:h, radius:], out=out)
+    out -= sat[radius:, :w]
+    out += sat[:h, :w]
+    return out
+
+
+def _window_root(squares: np.ndarray, radius: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(max(box_window_sum(squares), 0)), formed in ``out`` if given."""
+    out = box_window_sum(squares, radius, out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 def window_energy(combined: np.ndarray, radius: int) -> np.ndarray:
     """Root of the windowed sum of squares: C(p) = sqrt(sum_window R(q)^2)."""
-    return np.sqrt(np.maximum(box_window_sum(combined * combined, radius), 0.0))
+    return _window_root(combined * combined, radius)
 
 
-def fcd_score_map(grid: np.ndarray, config: FocusConfig) -> np.ndarray:
-    return window_energy(weighted_gradients(grid, config.weights),
-                         config.window_radius)
+def fcd_score_map(grid: np.ndarray, config: FocusConfig,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    r = weighted_gradients(grid, config.weights)
+    return _window_root(np.multiply(r, r, out=r), config.window_radius, out)
 
 
-def volume_score_map(grid: np.ndarray, config: FocusConfig) -> np.ndarray:
-    """Per-pixel score map used to build cost volumes.
+def volume_score_map(grid: np.ndarray, config: FocusConfig,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Per-pixel score map used to build cost volumes, written to ``out``
+    if given, else to a new array.
 
     fcd is the native map; var and soe use the windowed sum of their
     per-pixel contributions.  sti and sosa have no non-negative local form
     and stay scalar-only.
     """
     if config.kind == "fcd":
-        return fcd_score_map(grid, config)
+        return fcd_score_map(grid, config, out)
     if config.kind == "var":
         dev = grid - grid.mean()
-        return box_window_sum(dev * dev, config.window_radius)
+        return box_window_sum(np.multiply(dev, dev, out=dev),
+                              config.window_radius, out)
     if config.kind == "soe":
-        return box_window_sum(np.expm1(grid), config.window_radius)
+        return box_window_sum(np.expm1(grid), config.window_radius, out)
     raise ValueError(f"objective {config.kind!r} has no per-pixel score map; "
                      f"choose one of {VOLUME_KINDS}")
 

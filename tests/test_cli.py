@@ -414,6 +414,23 @@ def test_zero_valued_flags_are_config_errors_naming_the_flag(
 
 
 @pytest.mark.parametrize("command", ["depth", "ablate"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--scales", "0", ">= 1, got 0"),
+    ("--window-radius", "4", "odd >= 1, got 4"),
+    ("--trend-iters", "-1", ">= 0, got -1")])
+def test_config_range_errors_name_the_flag(dataset, tmp_path, capsys, command,
+                                           flag, value, message):
+    # the library configs check these fields; the error names the flag
+    extra = (["--truth", str(dataset / "sim" / "truth.pfm"), "--levels", "0"]
+             if command == "ablate" else [])
+    rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
+               *FAST, flag, value, *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag} must be {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
 @pytest.mark.parametrize("flags, message", [
     (["--scales", "6"], "error: --scales: 6 scales shrink the 64x64 sensor"),
     (["--scales", "1", "--scale-weights", "0"], "error: scale weights must be")],

@@ -27,7 +27,7 @@ from evdepth.costvol import (
     shutdown_pools,
 )
 from evdepth.events import EventWindow, make_events
-from evdepth.focus import FocusConfig
+from evdepth.focus import FocusConfig, box_window_sum
 from evdepth.iwe import accumulate
 from evdepth.motion import CameraIntrinsics, EventWarp, VelocitySample
 
@@ -61,17 +61,18 @@ def fuse(levels, scale_weights=None):
     return fused
 
 
-def read_out(curves, support, min_support=0.5):
+def read_out(curves, iwe, min_support=0.5):
     """The band readout of one-scale ``curves`` over ``HYP5``, with no trend
-    filtering, and ``support`` broadcast to (D, H, W)."""
+    filtering, ``iwe`` broadcast to the (D, H, W) IWE volume and a support
+    window of side 1, so that a pixel's support is its winner's IWE."""
     scores = volume_from_curves(curves)
     d, h, w = scores.shape
     layout, _ = costvol._window_layout(d, (w, h), 1)
     out = costvol._window_arrays(layout)
     out.scores[0][:] = scores
-    out.support[:] = support
+    out.iwe[:] = iwe
     costvol._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
-        trend_iterations=0, peak_alpha=0.0, min_support=min_support))
+        trend_iterations=0, peak_alpha=0.0, min_support=min_support), 1)
     return DepthMap(depth=out.depth, confidence=out.confidence,
                     flags=out.flags)
 
@@ -269,7 +270,7 @@ class TestMultiscaleFuse:
 
 class TestExtractDepth:
     def test_symmetric_peak_no_offset(self):
-        dm = read_out([[(0.0, 1.0, 3.0, 1.0, 0.0)]], support=1.0)
+        dm = read_out([[(0.0, 1.0, 3.0, 1.0, 0.0)]], iwe=1.0)
         np.testing.assert_allclose(dm.depth[0, 0], 1.0 / 0.3, rtol=1e-12)
         assert dm.valid[0, 0]
         assert dm.flags[0, 0] == FLAG_MEASURED
@@ -277,26 +278,26 @@ class TestExtractDepth:
     def test_asymmetric_peak_parabolic_offset(self):
         # lo=1, peak=3, hi=2: offset = (1-2)/(2*(1-6+2)) = 1/6 of the
         # inverse-depth step toward the larger neighbor
-        dm = read_out([[(0.0, 1.0, 3.0, 2.0, 0.0)]], support=1.0)
+        dm = read_out([[(0.0, 1.0, 3.0, 2.0, 0.0)]], iwe=1.0)
         np.testing.assert_allclose(dm.depth[0, 0], 1.0 / (0.3 - 0.1 / 6.0),
                                    rtol=1e-12)
 
     def test_boundary_peak_skips_refinement(self):
         dm = read_out([[(3.0, 1.0, 0.0, 0.0, 0.0),
-                        (0.0, 0.0, 0.0, 1.0, 3.0)]], support=1.0)
+                        (0.0, 0.0, 0.0, 1.0, 3.0)]], iwe=1.0)
         assert dm.depth[0, 0] == 2.0
         assert dm.depth[0, 1] == 10.0
 
     def test_confidence_is_peak_to_mean_ratio(self):
-        dm = read_out([[(0.0, 1.0, 3.0, 2.0, 0.0)]], support=1.0)
+        dm = read_out([[(0.0, 1.0, 3.0, 2.0, 0.0)]], iwe=1.0)
         np.testing.assert_allclose(dm.confidence[0, 0], 3.0 / 1.2, rtol=1e-12)
 
     def test_flat_zero_curve_confidence_one(self):
-        dm = read_out([[(0.0,) * 5]], support=1.0)
+        dm = read_out([[(0.0,) * 5]], iwe=1.0)
         assert dm.confidence[0, 0] == 1.0
 
     def test_min_support_invalidates(self):
-        dm = read_out([[(0.0, 1.0, 3.0, 1.0, 0.0)] * 2], support=[[0.4, 0.6]],
+        dm = read_out([[(0.0, 1.0, 3.0, 1.0, 0.0)] * 2], iwe=[[0.4, 0.6]],
                       min_support=0.5)
         assert not dm.valid[0, 0]
         assert dm.depth[0, 0] == DEPTH_SENTINEL
@@ -305,11 +306,11 @@ class TestExtractDepth:
 
     def test_volumetric_support_gathered_at_winner(self):
         curves = [[(0.0, 1.0, 3.0, 1.0, 0.0)]]
-        support = np.zeros((5, 1, 1))
-        support[2] = 0.7     # mass under the winning hypothesis only
-        assert read_out(curves, support, min_support=0.5).valid[0, 0]
-        support[2] = 0.3
-        assert not read_out(curves, support, min_support=0.5).valid[0, 0]
+        iwe = np.zeros((5, 1, 1))
+        iwe[2] = 0.7         # mass under the winning hypothesis only
+        assert read_out(curves, iwe, min_support=0.5).valid[0, 0]
+        iwe[2] = 0.3
+        assert not read_out(curves, iwe, min_support=0.5).valid[0, 0]
 
 
 class TestFillDepth:
@@ -429,7 +430,7 @@ class TestBuildVolume:
                                        focus=FocusConfig(window_radius=3)))
         assert [s.shape for s in out.scores] == [
             (4, 16, 16), (4, 8, 8), (4, 4, 4)]
-        assert out.support.shape == (4, 16, 16)
+        assert out.iwe.shape == (4, 16, 16)
         assert out.discarded.shape == (4,)
 
     def test_too_many_scales_rejected(self):
@@ -586,10 +587,17 @@ def sensor_window(intr, seed, n=300):
     return EventWindow(events=ev, t_ref=float(ev["t"][-1]), t_span=0.1)
 
 
+def support_volume(iwe, side):
+    """The ``side`` x ``side`` box sum of every hypothesis's IWE."""
+    return np.stack([box_window_sum(grid.astype(np.float64), side)
+                     for grid in iwe])
+
+
 def reference_estimate(window, intr, vel, hyp, sweep, agg, sweep_window):
     """The pipeline on whole volumes from the test references: the raw
     sweep, ``padded_trend_filter`` at every scale, ``gather_fuse``, and an
-    argmax readout; returns the filled depth map, the fused volume and the
+    argmax readout with support taken from the box sums of every
+    hypothesis's IWE; returns the filled depth map, the fused volume and the
     sweep's arrays."""
     out = sweep_window(window, intr, vel, hyp, sweep)
     fused = gather_fuse([padded_trend_filter(s, agg.trend_iterations,
@@ -604,8 +612,8 @@ def reference_estimate(window, intr, vel, hyp, sweep, agg, sweep_window):
     dm = costvol._readout(
         idx, at(idx), at(np.maximum(idx - 1, 0)), at(np.minimum(idx + 1, d - 1)),
         fused.mean(axis=0),
-        np.take_along_axis(out.support, idx[None], axis=0)[0], hyp.inverse,
-        agg.min_support)
+        np.take_along_axis(support_volume(out.iwe, sweep.focus.window_radius),
+                           idx[None], axis=0)[0], hyp.inverse, agg.min_support)
     return fill_depth(dm, agg.fill), fused, out
 
 
@@ -683,10 +691,10 @@ class TestEstimateDepthBands:
                          intr.resolution).grid
         score = costvol.volume_score_map
 
-        def failing_score(grid, config):
+        def failing_score(grid, config, out=None):
             if grid.shape == bad.shape and np.array_equal(grid, bad):
                 raise ValueError("hypothesis 4 cannot be scored")
-            return score(grid, config)
+            return score(grid, config, out)
 
         shutdown_pools()              # the pool forks with the patched scorer
         monkeypatch.setattr(costvol, "volume_score_map", failing_score)
@@ -715,3 +723,46 @@ class TestEstimateDepthBands:
         for name in ("depth", "confidence", "flags"):
             assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
         assert np.array_equal(got[1].winner, want[1].winner)
+
+
+@pytest.mark.parametrize("side", [1, 3, 5, 15])
+def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
+    # a 13x11 sensor in bands of 4 rows: the windows reach across band
+    # edges, and a side of 15 covers the whole sensor from its centre
+    intr = CameraIntrinsics(f=50.0, cu=6.5, cv=5.5, width=13, height=11)
+    vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                         angular=(0.0, 0.01, 0.0))
+    hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
+    window = sensor_window(intr, seed=side, n=20)
+    out = sweep_window(window, intr, vel, hyp, SweepConfig(
+        num_scales=1, focus=FocusConfig(window_radius=3)))
+    warp = EventWarp(window, intr, vel)
+    box = np.stack([box_window_sum(accumulate(warp(depth),
+                                              intr.resolution).grid, side)
+                    for depth in hyp.depths])
+    d, h, w = box.shape
+
+    def at(volume, idx):
+        return np.take_along_axis(volume, idx[None], axis=0)[0]
+
+    # random winners, with the first and last hypothesis at the corners and
+    # along the borders
+    idx = np.random.default_rng(side).integers(0, d, size=(h, w))
+    idx[0, :] = idx[:, 0] = 0
+    idx[-1, :] = idx[:, -1] = d - 1
+    for r0, r1 in ((0, h), (0, 4), (4, 8), (8, h)):
+        got = costvol._support_at(out.iwe, idx[r0:r1], r0, side)
+        # the IWE is stored as float32
+        np.testing.assert_allclose(got, at(box, idx)[r0:r1], rtol=1e-7,
+                                   atol=1e-12)
+        if side == 1:
+            assert np.array_equal(got, at(out.iwe, idx)[r0:r1])
+
+    # at the pipeline's own winners, support decides the flags
+    costvol._aggregate_band(out, 0, h, hyp.inverse,
+                            AggregationConfig(min_support=0.3), side)
+    support = at(box, out.winner)
+    if side < 15:
+        assert 0 < (support >= 0.3).sum() < h * w
+    assert not np.isclose(support, 0.3, rtol=1e-6).any()
+    assert np.array_equal(out.flags == FLAG_MEASURED, support >= 0.3)

@@ -33,18 +33,25 @@ def channel(grid, k, weight=1.0):
     return weighted_gradients(grid, FocusWeights(values=tuple(values)))
 
 
+def moveaxis_second_difference(grid, axis):
+    """Second difference through np.moveaxis, with allocated temporaries:
+    the previous implementation, kept as the bitwise reference."""
+    g = np.moveaxis(grid, axis, 0)
+    out = np.empty_like(g)
+    out[1:-1] = g[2:] - 2 * g[1:-1] + g[:-2]
+    out[0] = g[0] - 2 * g[1] + g[2]
+    out[-1] = g[-1] - 2 * g[-2] + g[-3]
+    return np.moveaxis(out, 0, axis)
+
+
 def six_channel_sum(grid, weights):
-    """Reference: all six channels computed, summed in CHANNELS order."""
+    """Reference: all six channels computed with np.gradient and the
+    moveaxis second difference, weighted and summed in CHANNELS order onto
+    zeros."""
     gx = np.gradient(grid, axis=1)
     gy = np.gradient(grid, axis=0)
-    gxx = np.zeros_like(grid)
-    gxx[:, 1:-1] = grid[:, 2:] - 2 * grid[:, 1:-1] + grid[:, :-2]
-    gxx[:, 0] = grid[:, 0] - 2 * grid[:, 1] + grid[:, 2]
-    gxx[:, -1] = grid[:, -1] - 2 * grid[:, -2] + grid[:, -3]
-    gyy = np.zeros_like(grid)
-    gyy[1:-1] = grid[2:] - 2 * grid[1:-1] + grid[:-2]
-    gyy[0] = grid[0] - 2 * grid[1] + grid[2]
-    gyy[-1] = grid[-1] - 2 * grid[-2] + grid[-3]
+    gxx = moveaxis_second_difference(grid, 1)
+    gyy = moveaxis_second_difference(grid, 0)
     gxy = np.gradient(gx, axis=0)
     out = np.zeros_like(grid)
     for w, m in zip(weights, (gx, gy, gxx, gyy, gxy, gxx * gyy)):
@@ -181,6 +188,92 @@ def test_box_sum_bitwise_equal_to_gather_reference(shape, radius):
     out = box_window_sum(grid, radius)
     assert out.shape == shape
     assert np.array_equal(out, gather_box_sum(grid, radius))
+
+
+def padded_box_sum(grid, radius):
+    """Box sum from a zero-padded integral image whose four corners combine
+    into allocated temporaries: the previous implementation, kept as the
+    bitwise reference."""
+    if radius == 1:
+        return grid.copy()
+    h, w = grid.shape
+    half = radius // 2
+    sat = np.zeros((h + radius, w + radius), dtype=np.float64)
+    sat[half + 1:half + 1 + h, half + 1:half + 1 + w] = grid
+    np.cumsum(sat, axis=0, out=sat)
+    np.cumsum(sat, axis=1, out=sat)
+    return (sat[radius:, radius:] - sat[:h, radius:] - sat[radius:, :w]
+            + sat[:h, :w])
+
+
+def allocating_score_map(grid, config):
+    """volume_score_map from the reference kernels, every step allocating."""
+    r = config.window_radius
+    if config.kind == "fcd":
+        combined = six_channel_sum(grid, config.weights.values)
+        return np.sqrt(np.maximum(padded_box_sum(combined * combined, r), 0.0))
+    if config.kind == "var":
+        dev = grid - grid.mean()
+        return padded_box_sum(dev * dev, r)
+    return padded_box_sum(np.expm1(grid), r)
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0 here."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def signed_sparse_grid(shape, seed):
+    """Signed values with many exact zeros, so that a negative weight makes
+    -0.0 products."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.0, 3.0, size=shape) * (rng.uniform(size=shape) < 0.5)
+
+
+KERNEL_SHAPES = [(3, 3), (3, 11), (11, 3), (9, 13), (8, 10)]
+ONE_HOT = [tuple(float(i == k) for i in range(6)) for k in range(6)]
+
+
+class TestInPlaceKernels:
+    """The in-place kernels against the allocating references, bit for bit."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("weights", ONE_HOT + [
+        (1.0,) * 6, (-1.0, 0.5, 2.0, -0.25, 0.0, 1.5), (-2.0, 0, 0, 0, 0, 1.0),
+        (0, 0, -1.0, 0, 0, 0), (0.0, 3.0, 0.0, -1.0, -0.5, 0.0)],
+        ids=[f"only_{c}" for c in CHANNELS]
+        + ["all_six", "mixed", "negative_first", "negative_only", "tail"])
+    def test_weighted_gradients(self, shape, weights):
+        grid = signed_sparse_grid(shape, sum(shape))
+        before = grid.copy()
+        got = weighted_gradients(grid, FocusWeights(values=weights))
+        assert same_bits(got, six_channel_sum(grid, weights))
+        assert same_bits(grid, before)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("side", [1, 3, 5, 15])
+    def test_box_window_sum(self, shape, side):
+        grid = signed_sparse_grid(shape, side)
+        assert same_bits(box_window_sum(grid, side), padded_box_sum(grid, side))
+
+    @pytest.mark.parametrize("kind", VOLUME_KINDS)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("side", [1, 3, 5, 15])
+    def test_score_map_into_strided_view(self, kind, shape, side):
+        rng = np.random.default_rng(side)
+        # IWE-like: non-negative, sparse
+        grid = rng.uniform(0.0, 2.0, size=shape) * (rng.uniform(size=shape) < 0.4)
+        config = FocusConfig(kind=kind, window_radius=side, weights=FocusWeights(
+            values=(1.0, -0.5, 1.0, 0.0, 2.0, 0.25)))
+        want = allocating_score_map(grid, config)
+        assert same_bits(volume_score_map(grid, config), want)
+        h, w = shape
+        volume = np.full((3, h + 2, 2 * w + 1), np.nan)
+        view = volume[1, 1:h + 1, 1::2]
+        assert volume_score_map(grid, config, out=view) is view
+        assert same_bits(view.copy(), want)
+        volume[1, 1:h + 1, 1::2] = np.nan
+        assert np.isnan(volume).all()
 
 
 class TestWindowEnergy:

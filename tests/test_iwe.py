@@ -188,6 +188,58 @@ class TestBlockSum:
                                    rtol=1e-12)
 
 
+def zero_padded(grid):
+    """``grid`` with a zero row and column appended where it is odd."""
+    h, w = grid.shape
+    padded = np.zeros((h + h % 2, w + w % 2))
+    padded[:h, :w] = grid
+    return padded
+
+
+def pairwise_block_sum(grid):
+    """(a + b) + (c + d) over each 2x2 block [[a, b], [c, d]] of the
+    zero-padded grid, written out: the order block_sum keeps."""
+    g = zero_padded(grid)
+    a, b = g[0::2, 0::2], g[0::2, 1::2]
+    c, d = g[1::2, 0::2], g[1::2, 1::2]
+    return (a + b) + (c + d)
+
+
+def reshape_block_sum(grid):
+    """The 2x2 block sum by a reshape and a two-axis sum: the previous
+    implementation, kept as the bitwise reference."""
+    g = zero_padded(grid)
+    h, w = g.shape
+    return g.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3))
+
+
+# magnitudes over 16 decades, so that any other order of the four additions
+# rounds differently somewhere
+def wide_range_grid(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+BLOCK_SHAPES = [(2, 2), (2, 7), (5, 2), (3, 3), (8, 10), (9, 13), (260, 346),
+                (130, 173), (65, 87), (180, 240), (64, 64)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_block_sum_adds_each_block_pairwise(shape):
+    grid = wide_range_grid(shape, sum(shape))
+    assert np.array_equal(block_sum(grid), pairwise_block_sum(grid))
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.4.0",
+                    reason="the reshape-sum's order is verified on NumPy 2.4")
+@pytest.mark.parametrize("shape", [s for s in BLOCK_SHAPES if s[1] > 2])
+def test_block_sum_bitwise_equal_to_reshape_reference(shape):
+    # a grid 2 wide reshape-sums as ((a + b) + c) + d; no pyramid halves
+    # one, since its coarsest level is at least 3 wide
+    grid = wide_range_grid(shape, sum(shape))
+    assert np.array_equal(block_sum(grid), reshape_block_sum(grid))
+
+
 class TestPyramid:
     def test_single_scale_is_identity(self):
         base = np.arange(12.0).reshape(3, 4)
