@@ -26,6 +26,7 @@ from .events import (check_stream, form_windows, load_events,
                      save_events_binary, save_events_text)
 from .focus import VOLUME_KINDS, FocusConfig, FocusWeights
 from .imgio import read_pfm, write_pfm, write_pgm
+from .iwe import SPLATS
 from .metrics import aggregate_reports, evaluate
 from .motion import (CameraRig, inject_velocity_noise, interpolate_velocity,
                      load_camera, load_track, average_velocity_norms,
@@ -78,7 +79,7 @@ def _add_depth_flags(p):
     p.add_argument("--peak-alpha", type=float, default=agg.peak_alpha)
     p.add_argument("--min-support", type=float, default=agg.min_support)
     p.add_argument("--fill", default=agg.fill, choices=FILL_POLICIES)
-    p.add_argument("--splat", default=sweep.splat, choices=["bilinear", "nearest"])
+    p.add_argument("--splat", default=sweep.splat, choices=SPLATS)
     p.add_argument("--max-count", type=int, default=80_000)
     p.add_argument("--max-interval", type=float, default=0.2)
     p.add_argument("--noise", type=float, default=0.0,
@@ -261,11 +262,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# Config fields set by a flag of another name, whose range errors start
-# with the field's name.
-_FIELD_FLAGS = {"num_scales": "--scales", "workers": "--threads",
-                "window_radius": "--window-radius",
-                "trend_iterations": "--trend-iters"}
+# The config fields and ``inverse_depth_hypotheses`` parameters that flags
+# set, whose range errors start with the field's name.
+_FIELD_FLAGS = {"d_min": "--dmin", "d_max": "--dmax", "count": "--num-hypotheses",
+                "values": "--fcd-weights", "num_scales": "--scales", "workers": "--threads",
+                "window_radius": "--window-radius", "scale_weights": "--scale-weights",
+                "trend_iterations": "--trend-iters", "peak_alpha": "--peak-alpha",
+                "min_support": "--min-support"}
 
 
 def _pipeline_configs(args):
@@ -276,8 +279,8 @@ def _pipeline_configs(args):
     span flags or have no config field."""
     if args.scale_weights is not None and len(args.scale_weights) != args.scales:
         raise ConfigError(f"--scale-weights needs {args.scales} values")
-    if args.noise < 0:
-        raise ConfigError("--noise must be >= 0")
+    if not 0 <= args.noise < np.inf:           # NaN fails too
+        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
     if args.max_count < 1:
         raise ConfigError(f"--max-count must be >= 1, got {args.max_count}")
     if not args.max_interval > 0:
@@ -318,13 +321,6 @@ def _noise_seed(base_seed, level_index, window_index, trial) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sample_curves(summary):
-    """The fused curves ``estimate_depth`` sampled at a few measured pixels,
-    for the diagnostics file."""
-    return {f"{y},{x}": [round(float(s), 6) for s in curve]
-            for (y, x), curve in summary.curves.items()}
-
-
 def cmd_depth(args) -> int:
     _require(args, "events", "camera", "track", "out")
     hyp, sweep, agg = _pipeline_configs(args)
@@ -355,7 +351,8 @@ def cmd_depth(args) -> int:
             "discarded": [int(x) for x in summary.discarded],
             "iwe_mass": [round(float(m), 6) for m in summary.mass],
             "hypotheses": [round(float(d), 6) for d in hyp.depths],
-            "score_curves": _sample_curves(summary),
+            "score_curves": {f"{y},{x}": [round(float(s), 6) for s in curve]
+                             for (y, x), curve in summary.curves.items()},
             "timing_s": round(elapsed, 4),
             "workers": args.threads,
         }

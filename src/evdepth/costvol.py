@@ -21,7 +21,7 @@ import numpy as np
 
 from .events import EventWindow
 from .focus import VOLUME_KINDS, FocusConfig, objective, volume_score_map
-from .iwe import accumulate, build_pyramid
+from .iwe import SPLATS, accumulate, build_pyramid
 from .motion import CameraIntrinsics, EventWarp, VelocitySample
 
 DEPTH_SENTINEL = -1.0
@@ -37,15 +37,15 @@ FILL_POLICIES = ("none", "nearest-valid", "median-window")
 @dataclass(frozen=True)
 class HypothesisSet:
     """Ordered metric depth candidates of the sweep."""
-    depths: np.ndarray        # strictly increasing, all > 0
+    depths: np.ndarray        # strictly increasing, finite, all > 0
 
     def __post_init__(self):
         d = np.asarray(self.depths, dtype=np.float64)
         object.__setattr__(self, "depths", d)
         if d.size < 1:
             raise ValueError("need at least 1 depth hypothesis")
-        if not (d > 0).all():
-            raise ValueError("all depth hypotheses must be positive")
+        if not ((d > 0) & (d < np.inf)).all():        # NaN fails too
+            raise ValueError("all depth hypotheses must be finite and positive")
         if not (np.diff(d) > 0).all():
             raise ValueError("depth hypotheses must be strictly increasing")
 
@@ -69,8 +69,12 @@ class HypothesisSet:
 def inverse_depth_hypotheses(d_min: float, d_max: float, count: int) -> HypothesisSet:
     """Sampling uniform in 1/d: flow magnitude is linear in inverse depth,
     so each bin covers the same flow resolution."""
-    if not (0 < d_min < d_max):
-        raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
+    if not 0 < d_min < np.inf:
+        raise ValueError(f"d_min must be finite and > 0, got {d_min}")
+    if not d_min < d_max < np.inf:
+        raise ValueError(f"d_max must be finite and > d_min = {d_min}, got {d_max}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     inv = np.linspace(1.0 / d_min, 1.0 / d_max, count)
     return HypothesisSet(depths=1.0 / inv)
 
@@ -110,6 +114,9 @@ class SweepConfig:
                 f"depth estimation supports {', '.join(sorted(VOLUME_KINDS))}")
         if self.num_scales < 1:
             raise ValueError(f"num_scales must be >= 1, got {self.num_scales}")
+        if self.splat not in SPLATS:
+            raise ValueError(f"unknown splat mode {self.splat!r}; choose one "
+                             f"of {', '.join(SPLATS)}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -126,11 +133,14 @@ class AggregationConfig:
         if self.scale_weights is not None:
             w = np.asarray(self.scale_weights, dtype=np.float64)
             if not ((w >= 0).all() and 0 < w.sum() < np.inf):    # NaN fails too
-                raise ValueError("scale weights must be finite and non-negative "
+                raise ValueError("scale_weights must be finite and non-negative "
                                  "with positive sum")
         if self.trend_iterations < 0:
             raise ValueError(f"trend_iterations must be >= 0, "
                              f"got {self.trend_iterations}")
+        for name in ("peak_alpha", "min_support"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.fill not in FILL_POLICIES:
             raise ValueError(f"unknown fill policy {self.fill!r}; choose one "
                              f"of {', '.join(FILL_POLICIES)}")
@@ -148,8 +158,8 @@ def check_scales(num_scales: int, intrinsics: CameraIntrinsics) -> None:
 
 @dataclass(frozen=True)
 class _WindowArrays:
-    """Everything one window writes: the sweep's outputs, then the (H, W)
-    maps that the band readout fills."""
+    """Everything one window writes: the sweep's outputs, then the fused
+    curves over ``scores[0]`` and the (H, W) maps, from the band readout."""
     scores: list              # per-scale (D, Hk, Wk) float64 score volumes
     iwe: np.ndarray           # (D, H, W) float32 IWE grids
     discarded: np.ndarray     # (D,) int64
@@ -414,35 +424,34 @@ def _divisor(peak: np.ndarray) -> np.ndarray:
     return np.where(peak > 0, peak, np.inf)
 
 
-def _fuse_block(levels, divisors, weights, out) -> np.ndarray:
-    """Fuse a block of hypotheses into ``out``, shaped (slices, h, w) at
-    full resolution, and return it.
+def _fuse_block(levels, divisors, weights) -> np.ndarray:
+    """Fuse a block of hypotheses in place over ``levels[0]``, its
+    (slices, h, w) full-resolution level, and return it.
 
     ``levels[k]`` is the block's slices of pyramid level k over the rows and
-    columns that cover ``out``, and ``divisors[k]`` the ``_divisor`` of
+    columns that cover ``levels[0]``, and ``divisors[k]`` the ``_divisor`` of
     their curves' maxima.  Each level's curves are normalised and weighted
     at the level's own scale, upsampled nearest-neighbour, and summed.
     """
+    out = levels[0]
+    out /= divisors[0]
+    out *= weights[0]
+    # as 0.0 + norm: x / inf may be -0.0, which adds as zero
+    out += 0.0
     n, h, w = out.shape
-    for k, (level, divisor, wk) in enumerate(zip(levels, divisors, weights)):
-        if k:
-            norm = level / divisor
-            norm *= wk
-            f = 2 ** k
-            wide = norm.repeat(f, axis=2)[:, :, :w]
-            # whole groups of f rows, each upsampled from one coarse row,
-            # then the rows left over at the bottom
-            full = h // f
-            s0, s1, s2 = out.strides
-            groups = np.lib.stride_tricks.as_strided(
-                out, (n, full, f, w), (s0, f * s1, s1, s2))
-            groups += wide[:, :full, None]
-            out[:, full * f:] += wide[:, full:full + 1]
-        else:
-            np.divide(level, divisor, out=out)
-            out *= wk
-            # as 0.0 + norm: x / inf may be -0.0, which adds as zero
-            out += 0.0
+    for k in range(1, len(levels)):
+        norm = levels[k] / divisors[k]
+        norm *= weights[k]
+        f = 2 ** k
+        wide = norm.repeat(f, axis=2)[:, :, :w]
+        # whole groups of f rows, each upsampled from one coarse row, then
+        # the rows left over at the bottom
+        full = h // f
+        s0, s1, s2 = out.strides
+        groups = np.lib.stride_tricks.as_strided(
+            out, (n, full, f, w), (s0, f * s1, s1, s2))
+        groups += wide[:, :full, None]
+        out[:, full * f:] += wide[:, full:full + 1]
     out /= weights.sum()
     return out
 
@@ -509,10 +518,10 @@ def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
 
     Every step reduces over hypotheses one pixel at a time, in the order
     of filtering, fusing and reading out whole volumes, so the maps are
-    bitwise theirs whatever the bands and blocks.  The fused curves exist
-    one block at a time: the readout keeps a running winner, its two
-    neighbours and the curve sum, and reads support only at the final
-    winner.
+    bitwise theirs whatever the bands and blocks.  The fused curves are
+    stored in place of the band's level 0, a block at a time; the readout
+    keeps a running winner and the curve sum, and then reads the winner's
+    neighbours from the fused curves and support from its IWE.
     """
     if r0 == r1:
         return
@@ -527,29 +536,21 @@ def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
             _block_slices(band.shape[1:]))))
         levels.append(band)
 
+    total = np.zeros((h, w))          # 0.0 + s is s: no fused value is -0.0
     best = np.full((h, w), -np.inf)
     idx = np.zeros((h, w), dtype=np.int64)
-    lo, hi = np.empty((h, w)), np.empty((h, w))
-    new = np.zeros((h, w), dtype=bool)
     step = _block_slices((h, w))
-    # two block buffers in turn, so the previous block's last slice stays
-    buffers = np.empty((2, step, h, w))
     for a in range(0, d, step):
         f = _fuse_block([level[a:a + step] for level in levels], divisors,
-                        weights, buffers[a // step % 2, :min(step, d - a)])
-        if a == 0:
-            total, prev = f[0].copy(), f[0]
+                        weights)
         for j, s in enumerate(f, start=a):
-            if j:
-                total += s            # the curve sum, in hypothesis order
-                # winners at hypothesis j-1 take their upper neighbour
-                np.copyto(hi, s, where=new)
+            total += s                # the curve sum, in hypothesis order
             new = s > best            # strict: the first maximum wins ties
             np.copyto(best, s, where=new)
-            np.copyto(lo, prev, where=new)
             np.copyto(idx, j, where=new)
-            prev = s
-    np.copyto(hi, best, where=new)    # winners at hypothesis D-1
+    # the winner's neighbours in the fused curves, clamped at the ends
+    lo, hi = (np.take_along_axis(levels[0], j[None], axis=0)[0]
+              for j in (np.maximum(idx - 1, 0), np.minimum(idx + 1, d - 1)))
 
     band_map = _readout(idx, best, lo, hi, total / d,
                         _support_at(out.iwe, idx, r0, side), inverse,
@@ -564,22 +565,18 @@ def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
 _CURVE_PIXELS = 8
 
 
-def _read_window(out: _WindowArrays, weights) -> tuple[DepthMap, SweepSummary]:
-    """Copy a window's maps and tallies out of its arrays, and fuse the
+def _read_window(out: _WindowArrays) -> tuple[DepthMap, SweepSummary]:
+    """Copy a window's maps and tallies out of its arrays, and the fused
     curves of up to ``_CURVE_PIXELS`` measured pixels, spread evenly over
-    them in row-major order, from the filtered per-scale volumes."""
+    them in row-major order."""
     depth_map = DepthMap(depth=out.depth.copy(),
                          confidence=out.confidence.copy(),
                          flags=out.flags.copy())
     ys, xs = np.nonzero(depth_map.valid)
     step = max(len(ys) // _CURVE_PIXELS, 1)
-    curves = {}
-    for y, x in zip(ys[::step][:_CURVE_PIXELS], xs[::step][:_CURVE_PIXELS]):
-        levels = [s[:, y >> k:(y >> k) + 1, x >> k:(x >> k) + 1]
-                  for k, s in enumerate(out.scores)]
-        curves[int(y), int(x)] = _fuse_block(
-            levels, [_divisor(level.max(axis=0)) for level in levels],
-            weights, np.empty((len(levels[0]), 1, 1)))[:, 0, 0]
+    curves = {(int(y), int(x)): out.scores[0][:, y, x].copy()
+              for y, x in zip(ys[::step][:_CURVE_PIXELS],
+                              xs[::step][:_CURVE_PIXELS])}
     return depth_map, SweepSummary(winner=out.winner.copy(), curves=curves,
                                    discarded=out.discarded.copy(),
                                    mass=out.mass.copy())
@@ -637,24 +634,23 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
     outputs are bitwise the same whatever the worker count.
     """
     check_scales(sweep.num_scales, intrinsics)
-    weights = _scale_weights(agg.scale_weights, sweep.num_scales)
+    _scale_weights(agg.scale_weights, sweep.num_scales)   # before any sweep
     depths = hypotheses.depths
     d = len(depths)
-    w, h = intrinsics.resolution
+    h = intrinsics.height
     layout, nbytes = _window_layout(d, intrinsics.resolution, sweep.num_scales)
     if sweep.workers == 1:
         out = _window_arrays(layout)
         _sweep_into(out, window, intrinsics, velocity, depths, 0, d, sweep)
         _aggregate_band(out, 0, h, hypotheses.inverse, agg,
                         sweep.focus.window_radius)
-        depth_map, summary = _read_window(out, weights)
+        depth_map, summary = _read_window(out)
     else:
         align = 2 ** (sweep.num_scales - 1)
         bands = [(min(a * align, h), min(b * align, h))
                  for a, b in _split(-(-h // align), sweep.workers)]
         tasks = [(window, intrinsics, velocity, depths, hyps, rows, sweep, agg)
                  for hyps, rows in zip(_split(d, sweep.workers), bands)]
-        depth_map, summary = _run_in_pool(
-            sweep.workers, layout, nbytes, tasks,
-            lambda view: _read_window(view, weights))
+        depth_map, summary = _run_in_pool(sweep.workers, layout, nbytes,
+                                          tasks, _read_window)
     return fill_depth(depth_map, agg.fill), summary

@@ -28,9 +28,12 @@ class FocusWeights:
 
     def __post_init__(self):
         if len(self.values) != 6:
-            raise ValueError(f"expected 6 channel weights, got {len(self.values)}")
+            raise ValueError(f"values must be 6 channel weights, "
+                             f"got {len(self.values)}")
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"values must be finite, got {self.values}")
         if not any(w != 0 for w in self.values):
-            raise ValueError("at least one channel weight must be nonzero")
+            raise ValueError("values must hold a nonzero channel weight")
 
 
 @dataclass(frozen=True)

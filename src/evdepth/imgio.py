@@ -1,6 +1,7 @@
 """PFM (raw float) and PGM (8-bit preview) image files."""
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,17 @@ def _read_size(fh, path, comments=False) -> tuple[int, int]:
     if w < 1 or h < 1:
         raise ValueError(f"{path}: bad size line {line!r}")
     return w, h
+
+
+def _read_grid(fh, path, w: int, h: int, dtype, kind: str) -> np.ndarray:
+    """The (h, w) grid of ``dtype`` after the header.  A file too short for
+    it is rejected before anything is read, so a huge size allocates nothing."""
+    nbytes = w * h * np.dtype(dtype).itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < nbytes:
+        raise ValueError(f"{path}: truncated {kind} payload: {left} of "
+                         f"{nbytes} bytes")
+    return np.frombuffer(fh.read(nbytes), dtype).reshape(h, w)
 
 
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
@@ -47,14 +59,8 @@ def read_pfm(path: str | Path) -> np.ndarray:
             scale = 0.0
         if not (np.isfinite(scale) and scale != 0):
             raise ValueError(f"{path}: bad PFM scale line {line!r}")
-        count = w * h
         dtype = "<f4" if scale < 0 else ">f4"
-        payload = fh.read(count * 4)
-    if len(payload) < count * 4:
-        raise ValueError(f"{path}: truncated PFM payload: {len(payload)} of "
-                         f"{count * 4} bytes")
-    data = np.frombuffer(payload, dtype=dtype, count=count)
-    return data.reshape(h, w)[::-1].astype(np.float32)
+        return _read_grid(fh, path, w, h, dtype, "PFM")[::-1].astype(np.float32)
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -87,8 +93,4 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if not 0 < maxval <= 255:
             raise ValueError(f"{path}: bad PGM maxval line {line!r} "
                              f"(only 8-bit PGM is supported)")
-        payload = fh.read(w * h)
-    if len(payload) < w * h:
-        raise ValueError(f"{path}: truncated PGM payload: {len(payload)} of "
-                         f"{w * h} bytes")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+        return _read_grid(fh, path, w, h, np.uint8, "PGM").copy()

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SPLATS = ("bilinear", "nearest")
+
 
 @dataclass(frozen=True)
 class Iwe:

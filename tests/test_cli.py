@@ -243,10 +243,13 @@ class TestDepth:
         assert capsys.readouterr().err.startswith(f"error: config file {cfg}: ")
         assert not (tmp_path / "out").exists()
 
-    def test_all_zero_fcd_weights_is_config_error(self, dataset, tmp_path):
+    def test_all_zero_fcd_weights_is_config_error(self, dataset, tmp_path,
+                                                  capsys):
         rc = run_depth(dataset, tmp_path / "out",
                        ["--fcd-weights", "0,0,0,0,0,0"])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --fcd-weights must hold a nonzero channel weight\n")
         assert not (tmp_path / "out").exists()
 
     def test_scalar_only_objective_is_config_error(self, dataset, tmp_path):
@@ -417,10 +420,25 @@ def test_zero_valued_flags_are_config_errors_naming_the_flag(
 @pytest.mark.parametrize("flag, value, message", [
     ("--scales", "0", ">= 1, got 0"),
     ("--window-radius", "4", "odd >= 1, got 4"),
-    ("--trend-iters", "-1", ">= 0, got -1")])
+    ("--trend-iters", "-1", ">= 0, got -1"),
+    ("--num-hypotheses", "0", ">= 1, got 0"),
+    ("--num-hypotheses", "-3", ">= 1, got -3"),
+    ("--dmin", "0", "finite and > 0, got 0.0"),
+    ("--dmin", "nan", "finite and > 0, got nan"),
+    ("--dmax", "1.5", "finite and > d_min = 2.0, got 1.5"),
+    ("--dmax", "inf", "finite and > d_min = 2.0, got inf"),
+    ("--fcd-weights", "1,2", "6 channel weights, got 2"),
+    ("--fcd-weights", "nan,0,1,0,0,0",
+     "finite, got (nan, 0.0, 1.0, 0.0, 0.0, 0.0)"),
+    ("--scale-weights", "nan", "finite and non-negative with positive sum"),
+    ("--peak-alpha", "nan", "finite, got nan"),
+    ("--min-support", "nan", "finite, got nan"),
+    ("--noise", "nan", "finite and >= 0, got nan"),
+    ("--noise", "inf", "finite and >= 0, got inf")])
 def test_config_range_errors_name_the_flag(dataset, tmp_path, capsys, command,
                                            flag, value, message):
-    # the library configs check these fields; the error names the flag
+    # the library configs check these fields (--noise has none); the error
+    # names the flag
     extra = (["--truth", str(dataset / "sim" / "truth.pfm"), "--levels", "0"]
              if command == "ablate" else [])
     rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
@@ -433,7 +451,7 @@ def test_config_range_errors_name_the_flag(dataset, tmp_path, capsys, command,
 @pytest.mark.parametrize("command", ["depth", "ablate"])
 @pytest.mark.parametrize("flags, message", [
     (["--scales", "6"], "error: --scales: 6 scales shrink the 64x64 sensor"),
-    (["--scales", "1", "--scale-weights", "0"], "error: scale weights must be")],
+    (["--scales", "1", "--scale-weights", "0"], "error: --scale-weights must be")],
     ids=["too_deep", "zero_weight"])
 def test_bad_scales_are_config_errors(dataset, tmp_path, capsys, command,
                                       flags, message):
@@ -521,6 +539,20 @@ class TestEval:
                    "--truth", str(dataset / "sim" / "truth.pfm")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("size", ["100000000", "4000000000"],
+                             ids=["memory", "overflow"])
+    def test_truth_larger_than_its_file_names_file(self, dataset, tmp_path,
+                                                    capsys, size):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        write_pfm(pred / "depth_0000.pfm", np.ones((2, 2)))
+        truth = tmp_path / "truth.pfm"
+        truth.write_bytes(f"Pf\n{size} {size}\n-1.0\n".encode())
+        rc = main(["eval", "--pred", str(pred), "--truth", str(truth)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {truth}: truncated PFM payload: 0 of ")
 
     def test_empty_prediction_dir_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"

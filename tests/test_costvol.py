@@ -49,15 +49,17 @@ def trend_curves(curves, iterations, peak_alpha):
 
 def fuse(levels, scale_weights=None):
     """Fuse the per-scale volumes ``levels``, level k at pyramid level k,
-    with the fusion kernel in blocks of the pipeline's size."""
+    with the fusion kernel in blocks of the pipeline's size, over a copy of
+    level 0."""
     d, h, w = levels[0].shape
     weights = costvol._scale_weights(scale_weights, len(levels))
     divisors = [costvol._divisor(level.max(axis=0)) for level in levels]
-    fused = np.empty((d, h, w))
+    fused = levels[0].copy()
     step = costvol._block_slices((h, w))
     for a in range(0, d, step):
-        costvol._fuse_block([level[a:a + step] for level in levels], divisors,
-                            weights, fused[a:a + step])
+        costvol._fuse_block([fused[a:a + step]]
+                            + [level[a:a + step] for level in levels[1:]],
+                            divisors, weights)
     return fused
 
 
@@ -104,10 +106,19 @@ class TestHypothesisSet:
             HypothesisSet(depths=np.array([3.0, 2.0]))
         with pytest.raises(ValueError):
             HypothesisSet(depths=np.array([-1.0, 2.0]))
-        with pytest.raises(ValueError):
+        for depths in ([2.0, np.inf], [np.nan], [2.0, np.nan, 3.0]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                HypothesisSet(depths=np.array(depths))
+        with pytest.raises(ValueError, match="^d_max must be"):
             inverse_depth_hypotheses(5.0, 2.0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^d_max must be"):
+            inverse_depth_hypotheses(2.0, np.inf, 4)
+        with pytest.raises(ValueError, match="^d_min must be"):
             inverse_depth_hypotheses(0.0, 2.0, 4)
+        for count in (0, -3):
+            with pytest.raises(ValueError, match=f"^count must be >= 1, "
+                                                 f"got {count}"):
+                inverse_depth_hypotheses(2.0, 5.0, count)
 
 
 class TestTrendFilter:
@@ -565,11 +576,17 @@ class TestBuildVolume:
             SweepConfig(num_scales=0)
         with pytest.raises(ValueError):
             SweepConfig(workers=0)
+        with pytest.raises(ValueError, match="unknown splat mode 'cubic'"):
+            SweepConfig(splat="cubic")
+        for name in ("peak_alpha", "min_support"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    AggregationConfig(**{name: value})
         for kind in ("sti", "sosa"):
             with pytest.raises(ValueError, match="no per-pixel score map"):
                 SweepConfig(focus=FocusConfig(kind=kind))
         for weights in [(0.0,), (-1.0, 2.0), (np.nan,), (np.inf, 1.0)]:
-            with pytest.raises(ValueError, match="scale weights"):
+            with pytest.raises(ValueError, match="scale_weights must be"):
                 AggregationConfig(scale_weights=weights)
         AggregationConfig(scale_weights=(0.0, 1.0))
         with pytest.raises(ValueError, match="unknown fill policy 'inpaint'"):
@@ -766,3 +783,29 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
         assert 0 < (support >= 0.3).sum() < h * w
     assert not np.isclose(support, 0.3, rtol=1e-6).any()
     assert np.array_equal(out.flags == FLAG_MEASURED, support >= 0.3)
+
+
+@pytest.mark.parametrize("bands", [[(0, 11)], [(0, 4), (4, 8), (8, 11)]],
+                         ids=["whole", "bands"])
+@pytest.mark.parametrize("block_bytes", [1, 2_000, 1 << 19],
+                         ids=["slice", "blocks", "whole"])
+def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
+                                                   bands, block_bytes):
+    # the band readout fuses over level 0 in place, and the sampled curves
+    # and the winner's neighbours are read from there
+    monkeypatch.setattr(costvol, "_BLOCK_BYTES", block_bytes)
+    intr = CameraIntrinsics(f=50.0, cu=6.5, cv=5.5, width=13, height=11)
+    vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                         angular=(0.0, 0.01, 0.0))
+    hyp = inverse_depth_hypotheses(2.0, 10.0, 9)
+    agg = AggregationConfig(scale_weights=(1.0, 0.75, 0.5),
+                            trend_iterations=1, peak_alpha=0.7)
+    out = sweep_window(sensor_window(intr, seed=3), intr, vel, hyp,
+                       SweepConfig(num_scales=3,
+                                   focus=FocusConfig(window_radius=3)))
+    want = gather_fuse([padded_trend_filter(s, agg.trend_iterations,
+                                            agg.peak_alpha)
+                        for s in out.scores], agg.scale_weights)
+    for r0, r1 in bands:
+        costvol._aggregate_band(out, r0, r1, hyp.inverse, agg, 3)
+    assert np.array_equal(out.scores[0], want)

@@ -432,6 +432,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FocusWeights(values=(0.0,) * 6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_weights_finite(self, bad):
+        with pytest.raises(ValueError, match="^values must be finite"):
+            FocusWeights(values=(1.0, bad, 0.0, 0.0, 0.0, 0.0))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             FocusConfig(kind="sharpness")

@@ -106,3 +106,17 @@ class TestPgm:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated"):
             read_pgm(path)
+
+
+@pytest.mark.parametrize("size", [b"100000000 100000000", b"4000000000 4000000000"],
+                         ids=["memory", "overflow"])
+@pytest.mark.parametrize("read, header", [
+    (read_pfm, b"Pf\n%s\n-1.0\n"), (read_pgm, b"P5\n%s\n255\n")],
+    ids=["pfm", "pgm"])
+def test_size_beyond_the_file_is_truncated(tmp_path, read, header, size):
+    # the payload is not read, so a huge size line cannot exhaust memory
+    path = tmp_path / "huge"
+    path.write_bytes(header % size + b"\x00" * 16)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated "
+                                         f".* payload: 16 of "):
+        read(path)
