@@ -82,8 +82,6 @@ def _add_depth_flags(p):
     p.add_argument("--splat", default=sweep.splat, choices=SPLATS)
     p.add_argument("--max-count", type=int, default=80_000)
     p.add_argument("--max-interval", type=float, default=0.2)
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="velocity noise level as a fraction of the velocity norm")
 
 
 def build_parser():
@@ -106,6 +104,8 @@ def build_parser():
     dep = sub.add_parser("depth", help="estimate depth maps from an event stream")
     _add_global_flags(dep)
     _add_depth_flags(dep)
+    dep.add_argument("--noise", type=float, default=0.0,
+                     help="velocity noise level as a fraction of the velocity norm")
 
     ev = sub.add_parser("eval", help="score predicted depth maps against truth")
     _add_global_flags(ev)
@@ -184,6 +184,13 @@ def _require(args, *names):
             raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
+def _check_finite(flag, value, positive=False):
+    """Reject a NaN, infinite or negative flag value, and zero if ``positive``."""
+    if not (0 < value < np.inf if positive else 0 <= value < np.inf):
+        raise ConfigError(f"{flag} must be finite and {'>' if positive else '>='} 0, "
+                          f"got {value}")
+
+
 def _parse_input(loader, path, what):
     """Load an input file; a missing or malformed file is a configuration
     error naming the file."""
@@ -238,8 +245,10 @@ def _load_windows(args):
 
 def cmd_simulate(args) -> int:
     _require(args, "scene", "camera", "track", "out")
-    if args.duration <= 0:
-        raise ConfigError("--duration must be positive")
+    _check_finite("--duration", args.duration, positive=True)
+    _check_finite("--jitter", args.jitter)
+    if args.events_per_edge < 1:
+        raise ConfigError(f"--events-per-edge must be >= 1, got {args.events_per_edge}")
     scene = _parse_input(load_scene, args.scene, "scene spec")
     rig = _load_rig(args)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -279,8 +288,6 @@ def _pipeline_configs(args):
     span flags or have no config field."""
     if args.scale_weights is not None and len(args.scale_weights) != args.scales:
         raise ConfigError(f"--scale-weights needs {args.scales} values")
-    if not 0 <= args.noise < np.inf:           # NaN fails too
-        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
     if args.max_count < 1:
         raise ConfigError(f"--max-count must be >= 1, got {args.max_count}")
     if not args.max_interval > 0:
@@ -323,6 +330,7 @@ def _noise_seed(base_seed, level_index, window_index, trial) -> int:
 
 def cmd_depth(args) -> int:
     _require(args, "events", "camera", "track", "out")
+    _check_finite("--noise", args.noise)
     hyp, sweep, agg = _pipeline_configs(args)
     rig, windows = _load_windows(args)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -389,8 +397,7 @@ def _pair_predictions(pred_dir, truth_arg):
 
 def cmd_eval(args) -> int:
     _require(args, "pred", "truth")
-    if args.max_depth <= 0:
-        raise ConfigError("--max-depth must be positive")
+    _check_finite("--max-depth", args.max_depth, positive=True)
     pairs = _pair_predictions(args.pred, args.truth)
     reports = []
     for pred_path, truth_path in pairs:
@@ -416,8 +423,9 @@ def cmd_ablate(args) -> int:
     _require(args, "events", "camera", "track", "truth", "out")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
-    if any(lv < 0 for lv in args.levels):
-        raise ConfigError("noise levels must be >= 0")
+    for level in args.levels:
+        _check_finite("--levels", level)
+    _check_finite("--max-depth", args.max_depth, positive=True)
     hyp, sweep, agg = _pipeline_configs(args)
     rig, windows = _load_windows(args)
     truth = _parse_input(read_pfm, args.truth, "ground-truth depth")

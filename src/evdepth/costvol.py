@@ -31,7 +31,7 @@ FLAG_INVALID = 0
 FLAG_MEASURED = 1
 FLAG_FILLED = 2
 
-FILL_POLICIES = ("none", "nearest-valid", "median-window")
+FILL_POLICIES = ("none", "nearest-valid")
 
 
 @dataclass(frozen=True)
@@ -582,37 +582,21 @@ def _read_window(out: _WindowArrays) -> tuple[DepthMap, SweepSummary]:
                                    mass=out.mass.copy())
 
 
-def fill_depth(depth_map: DepthMap, policy: str = "none",
-               radius: int = 5) -> DepthMap:
+def fill_depth(depth_map: DepthMap, policy: str = "none") -> DepthMap:
     """Complete invalid pixels.  ``nearest-valid`` copies the closest
-    measured depth; ``median-window`` takes the median of measured depths in
-    a (2*radius+1)^2 window and leaves isolated pixels invalid."""
+    measured depth."""
     if policy not in FILL_POLICIES:
         raise ValueError(f"unknown fill policy {policy!r}")
-    if policy == "none":
+    if policy == "none" or depth_map.valid.all():
         return depth_map
-    valid = depth_map.valid
-    holes = ~valid
-    if not holes.any():
-        return depth_map
+    holes = ~depth_map.valid
+    from scipy.ndimage import distance_transform_edt
+
+    _, (iv, iu) = distance_transform_edt(holes, return_indices=True)
     depth = depth_map.depth.copy()
     flags = depth_map.flags.copy()
-    if policy == "nearest-valid":
-        from scipy.ndimage import distance_transform_edt
-
-        _, (iv, iu) = distance_transform_edt(holes, return_indices=True)
-        depth[holes] = depth_map.depth[iv[holes], iu[holes]]
-        flags[holes] = FLAG_FILLED
-    else:                             # median-window
-        h, w = depth.shape
-        ys, xs = np.nonzero(holes)
-        for y, x in zip(ys, xs):
-            y0, y1 = max(y - radius, 0), min(y + radius + 1, h)
-            x0, x1 = max(x - radius, 0), min(x + radius + 1, w)
-            patch = depth_map.depth[y0:y1, x0:x1][valid[y0:y1, x0:x1]]
-            if patch.size:
-                depth[y, x] = np.median(patch)
-                flags[y, x] = FLAG_FILLED
+    depth[holes] = depth_map.depth[iv[holes], iu[holes]]
+    flags[holes] = FLAG_FILLED
     return DepthMap(depth=depth, confidence=depth_map.confidence, flags=flags)
 
 

@@ -51,14 +51,19 @@ class SceneSpec:
         for d in depths:
             if not (1.0 <= d <= 200.0):
                 raise ValueError(f"scene depth {d} outside [1, 200] m")
+        for name in ("split_col", "period", "edge_spacing"):
+            if getattr(self, name) is not None or name == "edge_spacing":
+                object.__setattr__(self, name, int(getattr(self, name)))
+        if self.edge_spacing < 1:
+            raise ValueError(f"edge_spacing must be >= 1 px, got {self.edge_spacing}")
         if self.kind == "two_plane" and self.split_col is None:
             raise ValueError("two_plane scene needs split_col")
         if self.kind == "striped":
             if self.period is None or self.period < 2:
                 raise ValueError("striped scene needs period >= 2 px")
         if self.band is not None:
-            band = (int(self.band[0]), int(self.band[1]))
-            if band[0] >= band[1]:
+            band = tuple(int(b) for b in self.band)
+            if len(band) != 2 or band[0] >= band[1]:
                 raise ValueError("band must be a non-empty [start, stop) range")
             object.__setattr__(self, "band", band)
 
@@ -106,7 +111,7 @@ def load_scene(path) -> SceneSpec:
     raw.pop("contrast_threshold", None)      # older files carry it; unused
     try:
         return SceneSpec(**raw)
-    except TypeError as exc:                 # unknown or missing keys
+    except (TypeError, OverflowError) as exc:   # bad keys, or values not numbers
         raise ValueError(f"{path}: {exc}") from exc
 
 

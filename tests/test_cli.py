@@ -231,9 +231,10 @@ class TestDepth:
 
     @pytest.mark.parametrize("text", [
         '{"fill": "bogus"}', '{"splat": "bogus"}', '{"num_hypotheses": 2.5}',
-        '{"max_count": 1.5}', '{"threads": "two"}', "[1, 2]", "{fill: none"],
+        '{"max_count": 1.5}', '{"threads": "two"}', "[1, 2]", "{fill: none",
+        '{"fill": "median-window"}'],
         ids=["fill", "splat", "num_hypotheses", "max_count", "threads",
-             "not_an_object", "not_json"])
+             "not_an_object", "not_json", "fill_median_window"])
     def test_bad_config_file_is_config_error(self, dataset, tmp_path, capsys,
                                              text):
         cfg = tmp_path / "cfg.json"
@@ -259,6 +260,12 @@ class TestDepth:
                 run_depth(dataset, tmp_path / "out", ["--objective", kind])
             assert exc.value.code == 2
             assert not (tmp_path / "out").exists()
+
+    def test_median_window_fill_is_not_a_choice(self, dataset, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_depth(dataset, tmp_path / "out", ["--fill", "median-window"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_mask_grey_level_per_flag(self, dataset, tmp_path):
         # invalid 0, measured 255, filled 128, whatever else the map holds
@@ -416,8 +423,7 @@ def test_zero_valued_flags_are_config_errors_naming_the_flag(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["depth", "ablate"])
-@pytest.mark.parametrize("flag, value, message", [
+RANGE_ERRORS = [
     ("--scales", "0", ">= 1, got 0"),
     ("--window-radius", "4", "odd >= 1, got 4"),
     ("--trend-iters", "-1", ">= 0, got -1"),
@@ -434,7 +440,13 @@ def test_zero_valued_flags_are_config_errors_naming_the_flag(
     ("--peak-alpha", "nan", "finite, got nan"),
     ("--min-support", "nan", "finite, got nan"),
     ("--noise", "nan", "finite and >= 0, got nan"),
-    ("--noise", "inf", "finite and >= 0, got inf")])
+    ("--noise", "inf", "finite and >= 0, got inf")]
+
+
+# --noise is a flag of depth only: ablate takes its noise from --levels
+@pytest.mark.parametrize("flag, value, message, command", [
+    (*row, command) for row in RANGE_ERRORS for command in ("depth", "ablate")
+    if not (row[0] == "--noise" and command == "ablate")])
 def test_config_range_errors_name_the_flag(dataset, tmp_path, capsys, command,
                                            flag, value, message):
     # the library configs check these fields (--noise has none); the error
@@ -443,6 +455,36 @@ def test_config_range_errors_name_the_flag(dataset, tmp_path, capsys, command,
              if command == "ablate" else [])
     rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
                *FAST, flag, value, *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag} must be {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("ablate", "--levels", "0,nan", "finite and >= 0, got nan"),
+    ("ablate", "--levels", "0,inf", "finite and >= 0, got inf"),
+    ("ablate", "--levels", "-0.5", "finite and >= 0, got -0.5"),
+    ("ablate", "--max-depth", "nan", "finite and > 0, got nan"),
+    ("eval", "--max-depth", "nan", "finite and > 0, got nan"),
+    ("eval", "--max-depth", "0", "finite and > 0, got 0.0"),
+    ("simulate", "--duration", "nan", "finite and > 0, got nan"),
+    ("simulate", "--duration", "inf", "finite and > 0, got inf"),
+    ("simulate", "--jitter", "nan", "finite and >= 0, got nan"),
+    ("simulate", "--jitter", "-1", "finite and >= 0, got -1.0"),
+    ("simulate", "--events-per-edge", "0", ">= 1, got 0")])
+def test_numeric_flag_errors_name_the_flag(dataset, tmp_path, capsys, command,
+                                           flag, value, message):
+    # the flags outside the pipeline configs, checked before anything is
+    # written
+    given = {"simulate": ["--scene", str(dataset / "scene.json"),
+                          "--camera", str(dataset / "camera.json"),
+                          "--track", str(dataset / "track.txt")],
+             "eval": ["--pred", str(dataset / "sim"),
+                      "--truth", str(dataset / "sim" / "truth.pfm")],
+             "ablate": [*inputs(dataset), *FAST, "--levels", "0",
+                        "--truth", str(dataset / "sim" / "truth.pfm")]}
+    rc = main([command, *given[command], "--out", str(tmp_path / "out"),
+               flag, value])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {flag} must be {message}\n"
     assert not (tmp_path / "out").exists()
@@ -579,6 +621,26 @@ class TestAblate:
         assert rows[0]["trials"] == 1      # the clean level needs no repeats
         assert rows[1]["trials"] == 2
         assert (out / "ablation.txt").read_text().count("\n") == 3
+
+    def test_noise_comes_from_levels_only(self, dataset, tmp_path):
+        argv = ["ablate", *inputs(dataset),
+                "--truth", str(dataset / "sim" / "truth.pfm"), *FAST,
+                "--levels", "0.0,0.5", "--trials", "1", "--seed", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "bad"), "--noise", "0.5"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "bad").exists()
+        # a manifest written while ablate took --noise still replays
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main([*argv, "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert "noise" not in manifest["config"]
+        manifest["config"]["noise"] = 0.5
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["ablate", "--config", str(old), "--out", str(replay)]) == 0
+        assert ((first / "ablation.json").read_bytes()
+                == (replay / "ablation.json").read_bytes())
 
     def test_truth_shape_checked_before_any_sweep(self, dataset, tmp_path,
                                                   capsys, monkeypatch):

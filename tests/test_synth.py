@@ -70,6 +70,11 @@ class TestSceneSpec:
             SceneSpec(kind="striped", depths=(10.0,), period=1)
         with pytest.raises(ValueError):
             SceneSpec(kind="plane", depths=(10.0,), band=(30, 30))
+        with pytest.raises(ValueError, match="band must be"):
+            SceneSpec(kind="plane", depths=(10.0,), band=(30,))
+        for spacing in (0, False, -4):
+            with pytest.raises(ValueError, match="edge_spacing must be >= 1"):
+                SceneSpec(kind="plane", depths=(10.0,), edge_spacing=spacing)
 
     def test_json_round_trip(self, tmp_path):
         scene = SceneSpec(kind="striped", depths=(10.0,), period=4,
