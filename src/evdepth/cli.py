@@ -251,10 +251,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--events-per-edge must be >= 1, got {args.events_per_edge}")
     scene = _parse_input(load_scene, args.scene, "scene spec")
     rig = _load_rig(args)
+    try:
+        window, truth = generate(scene, rig, args.duration,
+                                 args.events_per_edge, seed=args.seed,
+                                 jitter=args.jitter)
+    except ValueError as exc:
+        raise ValueError(f"scene {args.scene} on camera {args.camera}: "
+                         f"{exc}") from exc
     args.out.mkdir(parents=True, exist_ok=True)
-
-    window, truth = generate(scene, rig, args.duration, args.events_per_edge,
-                             seed=args.seed, jitter=args.jitter)
     if args.format == "binary":
         events_path = args.out / "events.bin"
         save_events_binary(events_path, window.events)
@@ -403,7 +407,10 @@ def cmd_eval(args) -> int:
     for pred_path, truth_path in pairs:
         pred = read_pfm(pred_path)
         truth = read_pfm(truth_path)
-        report = evaluate(pred, truth, max_depth=args.max_depth)
+        try:
+            report = evaluate(pred, truth, max_depth=args.max_depth)
+        except ValueError as exc:
+            raise ValueError(f"{pred_path} against {truth_path}: {exc}") from exc
         reports.append((pred_path.name, report))
     total = aggregate_reports([r for _, r in reports])
     if args.out is not None:

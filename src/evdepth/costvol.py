@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing as mp
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -222,27 +223,29 @@ def _split(n: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-# Each pool is forked with its own anonymous shared-memory arena and a
+# Each pool is forked with its own shared-memory arena, a memfd, and a
 # barrier over its workers, which the entry keeps alive with the pool.
-# Workers write a window into the arena and return nothing, so no volume
-# is pickled.
-_POOLS: dict[int, tuple] = {}      # workers -> (pool, arena, barrier)
+# Workers map the arena, write a window into it and return nothing, so no
+# volume is pickled.  The parent never maps it: it reads the few arrays it
+# needs with pread, so none of the volumes' pages count against it.
+_POOLS: dict[int, tuple] = {}      # workers -> (pool, arena fd, barrier)
 _POOL_LOCK = threading.Lock()
 _worker_arena: mmap.mmap | None = None
 _worker_barrier = None
 # How long a worker that has swept waits for the others.  It only bounds
 # the wait on a worker that is stuck, so it is far above any sweep's spread.
 _BARRIER_TIMEOUT_S = 600.0
-# A window whose arrays take at least this many bytes has each process drop
-# its mapping of them after each step, so that a worker holds about half of
-# them at a time.  Below it the pages saved are few (0.1 MiB per worker for
-# a 64x64 sensor at 32 hypotheses) and faulting them back in costs more.
+# A window whose arrays take at least this many bytes has each worker drop
+# its mapping of them after each step, so that it holds about half of them
+# at a time.  Below it the pages saved are few (0.1 MiB per worker for a
+# 64x64 sensor at 32 hypotheses) and faulting them back in costs more.
 _DROP_BYTES = 8 << 20
 
 
-def _attach(arena: mmap.mmap, barrier) -> None:
+def _attach(fd: int, barrier) -> None:
+    """Pool initializer: map the arena from the fd inherited at the fork."""
     global _worker_arena, _worker_barrier
-    _worker_arena, _worker_barrier = arena, barrier
+    _worker_arena, _worker_barrier = mmap.mmap(fd, 0), barrier
 
 
 def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
@@ -279,32 +282,64 @@ def _window_task(task) -> bool:
 def _get_pool(workers: int, nbytes: int):
     """The cached pool of ``workers`` processes with its arena of at least
     ``nbytes`` and its barrier; a smaller arena is replaced with its pool.
-    Fork keeps start-up cheap and hands the arena to the workers."""
+    Fork keeps start-up cheap and hands the arena's fd to the workers."""
     entry = _POOLS.get(workers)
-    if entry is not None and len(entry[1]) < nbytes:
+    if entry is not None and os.fstat(entry[1]).st_size < nbytes:
         _close_pool(*_POOLS.pop(workers))
         entry = None
     if entry is None:
         ctx = mp.get_context("fork")
-        arena, barrier = mmap.mmap(-1, nbytes), ctx.Barrier(workers)
-        pool = ctx.Pool(processes=workers, initializer=_attach,
-                        initargs=(arena, barrier))
-        entry = _POOLS[workers] = (pool, arena, barrier)
+        fd = os.memfd_create("evdepth-arena")
+        try:
+            os.ftruncate(fd, nbytes)
+            barrier = ctx.Barrier(workers)
+            pool = ctx.Pool(processes=workers, initializer=_attach,
+                            initargs=(fd, barrier))
+        except BaseException:
+            os.close(fd)
+            raise
+        entry = _POOLS[workers] = (pool, fd, barrier)
     return entry
 
 
-def _close_pool(pool, arena, _barrier) -> None:
-    pool.terminate()
-    pool.join()
-    arena.close()
+def _close_pool(pool, fd, _barrier) -> None:
+    try:
+        pool.terminate()
+        pool.join()
+    finally:
+        os.close(fd)
 
 
-def _run_in_pool(workers: int, layout, nbytes: int, tasks, read):
+def _read_arena(fd: int, layout) -> tuple[DepthMap, SweepSummary]:
+    """``_read_window`` of the window in the arena file ``fd``, without
+    mapping it.  The tallies and maps end the layout with no gap between
+    them, as each but the last is whole 8-byte words, so they take one
+    ``preadv`` into fresh arrays; a fused curve takes one ``pread`` per
+    hypothesis."""
+    tail = layout[-6:]
+    arrays = [np.empty(shape, dtype) for dtype, shape, _ in tail]
+    want = sum(a.nbytes for a in arrays)
+    got = os.preadv(fd, arrays, tail[0][2])
+    if got != want:
+        raise OSError(f"read {got} of {want} bytes of the window arena")
+    dtype, (d, h, w), start = layout[0]
+    itemsize = np.dtype(dtype).itemsize
+
+    def curve(y, x):
+        offset = start + (y * w + x) * itemsize
+        return np.frombuffer(bytearray(b"".join(
+            os.pread(fd, itemsize, offset + j * h * w * itemsize)
+            for j in range(d))), dtype)
+
+    return _read_window(*arrays, curve)
+
+
+def _run_in_pool(workers: int, layout, nbytes: int, tasks):
     """Run one window's ``tasks`` on the cached pool, one task per worker,
-    and return ``read`` of the arena's arrays.  A failed run closes the
-    pool, so the next call forks a fresh pool and barrier."""
+    and read the window out of the arena.  A failed run closes the pool,
+    so the next call forks a fresh pool and barrier."""
     with _POOL_LOCK:
-        pool, arena, _ = _get_pool(workers, nbytes)
+        pool, fd, _ = _get_pool(workers, nbytes)
         try:
             if not all(pool.map(_window_task, tasks, chunksize=1)):
                 raise TimeoutError("a sweep worker did not reach the barrier "
@@ -312,9 +347,7 @@ def _run_in_pool(workers: int, layout, nbytes: int, tasks, read):
         except BaseException:
             _close_pool(*_POOLS.pop(workers))
             raise
-        result = read(_window_arrays(layout, arena))
-        _drop_mapping(arena, nbytes)
-    return result
+        return _read_arena(fd, layout)
 
 
 def shutdown_pools() -> None:
@@ -565,21 +598,20 @@ def _aggregate_band(out: _WindowArrays, r0: int, r1: int, inverse,
 _CURVE_PIXELS = 8
 
 
-def _read_window(out: _WindowArrays) -> tuple[DepthMap, SweepSummary]:
-    """Copy a window's maps and tallies out of its arrays, and the fused
-    curves of up to ``_CURVE_PIXELS`` measured pixels, spread evenly over
-    them in row-major order."""
-    depth_map = DepthMap(depth=out.depth.copy(),
-                         confidence=out.confidence.copy(),
-                         flags=out.flags.copy())
+def _read_window(discarded, mass, depth, confidence, winner, flags,
+                 curve) -> tuple[DepthMap, SweepSummary]:
+    """A window's depth map and summary, which keep the tallies and maps
+    given, with ``curve(y, x)``, a fresh copy of the fused curve at (y, x),
+    for up to ``_CURVE_PIXELS`` measured pixels, spread evenly over them in
+    row-major order."""
+    depth_map = DepthMap(depth=depth, confidence=confidence, flags=flags)
     ys, xs = np.nonzero(depth_map.valid)
     step = max(len(ys) // _CURVE_PIXELS, 1)
-    curves = {(int(y), int(x)): out.scores[0][:, y, x].copy()
+    curves = {(int(y), int(x)): curve(y, x)
               for y, x in zip(ys[::step][:_CURVE_PIXELS],
                               xs[::step][:_CURVE_PIXELS])}
-    return depth_map, SweepSummary(winner=out.winner.copy(), curves=curves,
-                                   discarded=out.discarded.copy(),
-                                   mass=out.mass.copy())
+    return depth_map, SweepSummary(winner=winner, curves=curves,
+                                   discarded=discarded, mass=mass)
 
 
 def fill_depth(depth_map: DepthMap, policy: str = "none") -> DepthMap:
@@ -628,7 +660,9 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
         _sweep_into(out, window, intrinsics, velocity, depths, 0, d, sweep)
         _aggregate_band(out, 0, h, hypotheses.inverse, agg,
                         sweep.focus.window_radius)
-        depth_map, summary = _read_window(out)
+        depth_map, summary = _read_window(
+            out.discarded, out.mass, out.depth, out.confidence, out.winner,
+            out.flags, lambda y, x: out.scores[0][:, y, x].copy())
     else:
         align = 2 ** (sweep.num_scales - 1)
         bands = [(min(a * align, h), min(b * align, h))
@@ -636,5 +670,5 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
         tasks = [(window, intrinsics, velocity, depths, hyps, rows, sweep, agg)
                  for hyps, rows in zip(_split(d, sweep.workers), bands)]
         depth_map, summary = _run_in_pool(sweep.workers, layout, nbytes,
-                                          tasks, _read_window)
+                                          tasks)
     return fill_depth(depth_map, agg.fill), summary

@@ -108,6 +108,22 @@ class TestSimulate:
         assert err.count(str(scene)) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_scene_without_events_names_scene_and_writes_nothing(
+            self, dataset, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        save_scene(scene, SceneSpec(kind="striped", depths=(10.0,),
+                                    period=4, band=(500, 600)))
+        rc = main(["simulate", "--scene", str(scene),
+                   "--camera", str(dataset / "camera.json"),
+                   "--track", str(dataset / "track.txt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scene {scene} on camera "
+                              f"{dataset / 'camera.json'}: ")
+        assert "no in-bounds events" in err
+        assert not (tmp_path / "out").exists()
+
     def test_binary_format(self, dataset, tmp_path):
         rc = main(["simulate", "--scene", str(dataset / "scene.json"),
                    "--camera", str(dataset / "camera.json"),
@@ -595,6 +611,19 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             f"error: {truth}: truncated PFM payload: 0 of ")
+
+    def test_shape_mismatch_names_both_files(self, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        path = pred / "depth_0000.pfm"
+        write_pfm(path, np.ones((2, 3)))
+        truth = tmp_path / "truth.pfm"
+        write_pfm(truth, np.ones((2, 2)))
+        rc = main(["eval", "--pred", str(pred), "--truth", str(truth)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} against {truth}: shape mismatch: pred (2, 3) vs "
+            "truth (2, 2)\n")
 
     def test_empty_prediction_dir_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"

@@ -1,6 +1,8 @@
 """Hypothesis sets, the trend, fusion and readout kernels, hole filling,
 and the sweep pipeline."""
 
+import gc
+import os
 import sys
 import threading
 import time
@@ -482,7 +484,7 @@ class TestBuildVolume:
                 results = [estimate_depth(window, intr, vel, hyp, SweepConfig(
                     num_scales=3, focus=FocusConfig(window_radius=3),
                     workers=workers)) for workers in (1, 2)]
-                sizes.append(len(costvol._POOLS[2][1]))
+                sizes.append(os.fstat(costvol._POOLS[2][1]).st_size)
                 assert same_estimate(*results)
         finally:
             shutdown_pools()
@@ -683,23 +685,7 @@ class TestEstimateDepthBands:
     def test_failed_worker_fails_the_window_and_the_pool(self, monkeypatch):
         # one hypothesis raises in the second worker; the first must not
         # wait for it at the barrier
-        window, intr = random_window(5), TINY_INTR
-        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
-                             angular=(0.0, 0.01, 0.0))
-        hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
-        sweep = SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3),
-                            workers=2)
-        bad = accumulate(EventWarp(window, intr, vel)(hyp.depths[4]),
-                         intr.resolution).grid
-        score = costvol.volume_score_map
-
-        def failing_score(grid, config, out=None):
-            if grid.shape == bad.shape and np.array_equal(grid, bad):
-                raise ValueError("hypothesis 4 cannot be scored")
-            return score(grid, config, out)
-
-        shutdown_pools()              # the pool forks with the patched scorer
-        monkeypatch.setattr(costvol, "volume_score_map", failing_score)
+        window, intr, vel, hyp, sweep = failing_window(monkeypatch)
         errors = []
 
         def run():
@@ -725,6 +711,92 @@ class TestEstimateDepthBands:
         for name in ("depth", "confidence", "flags"):
             assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
         assert np.array_equal(got[1].winner, want[1].winner)
+
+    def test_parent_maps_none_of_the_arena(self, monkeypatch):
+        # no process drops its mapping, so any page of the arena the parent
+        # touched would stay in its RssShmem
+        if rss_shmem_kib() is None:
+            pytest.skip("no RssShmem in /proc/self/status")
+        shutdown_pools()
+        monkeypatch.setattr(costvol, "_DROP_BYTES", 1 << 62)
+        intr = CameraIntrinsics(f=150.0, cu=100.0, cv=75.0, width=200,
+                                height=150)
+        window = sensor_window(intr, seed=6, n=20_000)
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 32)
+        sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=3),
+                            workers=2)
+        try:
+            before = rss_shmem_kib()
+            _, summary = estimate_depth(window, intr, vel, hyp, sweep)
+            grown = rss_shmem_kib() - before
+        finally:
+            shutdown_pools()
+        assert len(summary.curves) == 8
+        assert grown < 1024
+
+    def test_pools_leak_no_fd(self, monkeypatch):
+        def open_fds():
+            gc.collect()
+            return len(os.listdir("/proc/self/fd"))
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd")
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
+        sweep = SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3),
+                            workers=2)
+        shutdown_pools()
+        before = open_fds()
+        try:
+            # a larger sensor replaces the pool and its arena
+            for intr in (TINY_INTR, WIDE_INTR):
+                estimate_depth(random_window(3), intr, vel, hyp, sweep)
+            window, intr, vel, hyp, sweep = failing_window(monkeypatch)
+            with pytest.raises(ValueError, match="cannot be scored"):
+                estimate_depth(window, intr, vel, hyp, sweep)
+        finally:
+            shutdown_pools()
+        assert open_fds() == before
+
+
+def rss_shmem_kib():
+    """This process's resident shared memory in KiB, or None where
+    /proc/self/status does not report it."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def failing_window(monkeypatch):
+    """A window, its sensor, velocity, hypotheses and a 2-worker sweep
+    whose hypothesis 4 raises in the second worker; the pools are shut
+    down so that the next forks with the failing scorer."""
+    window, intr = random_window(5), TINY_INTR
+    vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                         angular=(0.0, 0.01, 0.0))
+    hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
+    sweep = SweepConfig(num_scales=2, focus=FocusConfig(window_radius=3),
+                        workers=2)
+    bad = accumulate(EventWarp(window, intr, vel)(hyp.depths[4]),
+                     intr.resolution).grid
+    score = costvol.volume_score_map
+
+    def failing_score(grid, config, out=None):
+        if grid.shape == bad.shape and np.array_equal(grid, bad):
+            raise ValueError("hypothesis 4 cannot be scored")
+        return score(grid, config, out)
+
+    shutdown_pools()
+    monkeypatch.setattr(costvol, "volume_score_map", failing_score)
+    return window, intr, vel, hyp, sweep
 
 
 @pytest.mark.parametrize("side", [1, 3, 5, 15])
