@@ -1,0 +1,118 @@
+"""A cached pool of forked workers that runs a window as one task per
+worker.  Each worker calls its task on the shared arena to sweep, waits at
+a barrier until every worker has swept, and then calls the aggregate step
+that its task returned.  Tasks must pickle."""
+from __future__ import annotations
+
+import mmap
+import multiprocessing as mp
+import os
+import threading
+
+# Each pool is forked with its own shared-memory arena, a memfd, and a
+# barrier over its workers, which the entry keeps alive with the pool.
+# Workers map the arena, write a window into it and return nothing, so no
+# volume is pickled.  The parent never maps it: it reads the few arrays it
+# needs from the fd, so none of the volumes' pages count against it.
+_POOLS: dict[int, tuple] = {}      # workers -> (pool, arena fd, barrier)
+_POOL_LOCK = threading.Lock()
+_worker_arena: mmap.mmap | None = None
+_worker_barrier = None
+# How long a worker that has swept waits for the others.  It only bounds
+# the wait on a worker that is stuck, so it is far above any sweep's spread.
+_BARRIER_TIMEOUT_S = 600.0
+# A window whose arrays take at least this many bytes has each worker drop
+# its mapping of them after each step, so that it holds about half of them
+# at a time.  Below it the pages saved are few (0.1 MiB per worker for a
+# 64x64 sensor at 32 hypotheses) and faulting them back in costs more.
+_DROP_BYTES = 8 << 20
+
+
+def _attach(fd: int, barrier) -> None:
+    """Pool initializer: map the arena from the fd inherited at the fork."""
+    global _worker_arena, _worker_barrier
+    _worker_arena, _worker_barrier = mmap.mmap(fd, 0), barrier
+
+
+def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
+    """Drop this process's page table entries for a window of ``nbytes`` in
+    ``arena`` if it is large.  On this shared mapping the data stays."""
+    if nbytes >= _DROP_BYTES:
+        arena.madvise(mmap.MADV_DONTNEED)
+
+
+def _window_task(task) -> bool:
+    """Worker side: sweep by calling the task on the inherited arena; then,
+    once every worker has swept, call the aggregate step it returned.
+    Returns False if another worker failed to reach the barrier; a worker
+    that fails first breaks it, so none waits for it."""
+    sweep, nbytes = task
+    try:
+        aggregate = sweep(_worker_arena)
+    except BaseException:
+        _worker_barrier.abort()
+        raise
+    _drop_mapping(_worker_arena, nbytes)
+    try:
+        _worker_barrier.wait(_BARRIER_TIMEOUT_S)
+    except threading.BrokenBarrierError:
+        return False
+    aggregate()
+    _drop_mapping(_worker_arena, nbytes)
+    return True
+
+
+def _get_pool(workers: int, nbytes: int):
+    """The cached pool of ``workers`` processes with its arena of at least
+    ``nbytes`` and its barrier; a smaller arena is replaced with its pool.
+    Fork keeps start-up cheap and hands the arena's fd to the workers."""
+    entry = _POOLS.get(workers)
+    if entry is not None and os.fstat(entry[1]).st_size < nbytes:
+        _close_pool(*_POOLS.pop(workers))
+        entry = None
+    if entry is None:
+        ctx = mp.get_context("fork")
+        fd = os.memfd_create("evdepth-arena")
+        try:
+            os.ftruncate(fd, nbytes)
+            barrier = ctx.Barrier(workers)
+            pool = ctx.Pool(processes=workers, initializer=_attach,
+                            initargs=(fd, barrier))
+        except BaseException:
+            os.close(fd)
+            raise
+        entry = _POOLS[workers] = (pool, fd, barrier)
+    return entry
+
+
+def _close_pool(pool, fd, _barrier) -> None:
+    try:
+        pool.terminate()
+        pool.join()
+    finally:
+        os.close(fd)
+
+
+def _run_in_pool(workers: int, nbytes: int, tasks, read):
+    """Run one window of ``nbytes`` on the cached pool, one of ``tasks`` per
+    worker, and return ``read(fd)`` of the arena.  A failed run closes the
+    pool, so the next call forks a fresh pool and barrier."""
+    with _POOL_LOCK:
+        pool, fd, _ = _get_pool(workers, nbytes)
+        try:
+            if not all(pool.map(_window_task, [(t, nbytes) for t in tasks],
+                                chunksize=1)):
+                raise TimeoutError("a sweep worker did not reach the barrier "
+                                   f"within {_BARRIER_TIMEOUT_S:g} s")
+        except BaseException:
+            _close_pool(*_POOLS.pop(workers))
+            raise
+        return read(fd)
+
+
+def shutdown_pools() -> None:
+    """Stop every cached worker pool and release its arena."""
+    with _POOL_LOCK:
+        for entry in _POOLS.values():
+            _close_pool(*entry)
+        _POOLS.clear()

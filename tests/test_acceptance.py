@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from evdepth import costvol
+from evdepth import aggregate
 from evdepth.costvol import (
     AggregationConfig,
     SweepConfig,
@@ -163,7 +163,7 @@ def test_05_score_curves_unimodal_after_trend_filter(plane_data, sweep_window):
     sweep = SweepConfig(focus=FocusConfig(kind="var", window_radius=5),
                         num_scales=1, splat="nearest")
     scores = sweep_window(window, INTR, VEL, HYP, sweep).scores[0]
-    costvol._trend_filter_inplace(scores, 1, 0.7, len(scores))
+    aggregate._trend_filter_inplace(scores, 1, 0.7, len(scores))
     mask = event_pixel_mask(window, INTR, VEL, truth, radius=5,
                             splat="nearest")
     curves = scores[:, mask]
@@ -173,7 +173,7 @@ def test_05_score_curves_unimodal_after_trend_filter(plane_data, sweep_window):
     assert frac >= 0.90
 
     spike = np.array([0.0, 0.0, 4.0, 0.0, 0.0]).reshape(5, 1, 1)
-    costvol._trend_filter_inplace(spike, 1, 0.0, len(spike))
+    aggregate._trend_filter_inplace(spike, 1, 0.0, len(spike))
     np.testing.assert_array_equal(spike[:, 0, 0], (0.0, 1.0, 2.0, 1.0, 0.0))
     print(f"PASS unimodality: {frac:.4f} of event-pixel curves keep a single "
           f"peak after the trend filter (>= 0.90); smoothing kernel case exact")

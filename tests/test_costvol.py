@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evdepth import costvol
+from evdepth import aggregate, costvol, pool
 from evdepth.costvol import (
     DEPTH_SENTINEL,
     FLAG_INVALID,
@@ -44,7 +44,7 @@ def volume_from_curves(curves):
 def trend_curves(curves, iterations, peak_alpha):
     """The trend kernel over a volume of ``curves``, in one block."""
     s = volume_from_curves(curves)
-    costvol._trend_filter_inplace(s, iterations, peak_alpha, len(s))
+    aggregate._trend_filter_inplace(s, iterations, peak_alpha, len(s))
     return s
 
 
@@ -53,12 +53,12 @@ def fuse(levels, scale_weights=None):
     with the fusion kernel in blocks of the pipeline's size, over a copy of
     level 0."""
     d, h, w = levels[0].shape
-    weights = costvol._scale_weights(scale_weights, len(levels))
-    divisors = [costvol._divisor(level.max(axis=0)) for level in levels]
+    weights = aggregate._scale_weights(scale_weights, len(levels))
+    divisors = [aggregate._divisor(level.max(axis=0)) for level in levels]
     fused = levels[0].copy()
-    step = costvol._block_slices((h, w))
+    step = aggregate._block_slices((h, w))
     for a in range(0, d, step):
-        costvol._fuse_block([fused[a:a + step]]
+        aggregate._fuse_block([fused[a:a + step]]
                             + [level[a:a + step] for level in levels[1:]],
                             divisors, weights)
     return fused
@@ -74,7 +74,7 @@ def read_out(curves, iwe, min_support=0.5):
     out = costvol._window_arrays(layout)
     out.scores[0][:] = scores
     out.iwe[:] = iwe
-    costvol._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
+    aggregate._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
         trend_iterations=0, peak_alpha=0.0, min_support=min_support), 1)
     return DepthMap(depth=out.depth, confidence=out.confidence,
                     flags=out.flags)
@@ -184,8 +184,8 @@ def test_trend_filter_bitwise_equal_to_padded_reference(iterations, peak_alpha):
         # rounded values give plateaus and ties between neighbors
         scores = np.round(rng.gamma(1.0, size=(d, 9, 11)), 1)
         want = padded_trend_filter(scores, iterations, peak_alpha)
-        peak = costvol._trend_filter_inplace(scores, iterations, peak_alpha,
-                                             costvol._block_slices((9, 11)))
+        peak = aggregate._trend_filter_inplace(
+            scores, iterations, peak_alpha, aggregate._block_slices((9, 11)))
         assert np.array_equal(scores, want)
         assert np.array_equal(peak, want.max(axis=0))
 
@@ -202,8 +202,9 @@ def test_blocked_trend_kernel_bitwise_equal_to_padded_reference(iterations,
             # a band of rows of a larger volume, filtered where it lies
             volume = np.zeros((d, 13, 11))
             volume[:, 2:11] = scores
-            peak = costvol._trend_filter_inplace(volume[:, 2:11], iterations,
-                                                 peak_alpha, step)
+            peak = aggregate._trend_filter_inplace(volume[:, 2:11],
+                                                   iterations, peak_alpha,
+                                                   step)
             assert np.array_equal(volume[:, 2:11], want), step
             assert np.array_equal(peak, want.max(axis=0)), step
             assert not volume[:, :2].any() and not volume[:, 11:].any()
@@ -484,12 +485,12 @@ class TestBuildVolume:
                 results = [estimate_depth(window, intr, vel, hyp, SweepConfig(
                     num_scales=3, focus=FocusConfig(window_radius=3),
                     workers=workers)) for workers in (1, 2)]
-                sizes.append(os.fstat(costvol._POOLS[2][1]).st_size)
+                sizes.append(os.fstat(pool._POOLS[2][1]).st_size)
                 assert same_estimate(*results)
         finally:
             shutdown_pools()
         assert sizes[0] < sizes[1] == sizes[2]
-        assert not costvol._POOLS
+        assert not pool._POOLS
 
     def test_threads_sharing_the_pool_keep_results(self):
         # two threads estimate depth on different sensors through one pool
@@ -613,7 +614,7 @@ def reference_estimate(window, intr, vel, hyp, sweep, agg, sweep_window):
     def at(j):
         return np.take_along_axis(fused, j[None], axis=0)[0]
 
-    dm = costvol._readout(
+    dm = aggregate._readout(
         idx, at(idx), at(np.maximum(idx - 1, 0)), at(np.minimum(idx + 1, d - 1)),
         fused.mean(axis=0),
         np.take_along_axis(support_volume(out.iwe, sweep.focus.window_radius),
@@ -655,9 +656,9 @@ class TestEstimateDepthBands:
     def test_maps_winner_and_curves_match_whole_volume_stages(
             self, monkeypatch, sweep_window, block_bytes):
         shutdown_pools()              # the pools fork with these sizes
-        monkeypatch.setattr(costvol, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(aggregate, "_BLOCK_BYTES", block_bytes)
         # every window drops its mappings, which must keep the data
-        monkeypatch.setattr(costvol, "_DROP_BYTES", 0)
+        monkeypatch.setattr(pool, "_DROP_BYTES", 0)
         vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
                              angular=(0.0, 0.01, 0.0))
         try:
@@ -701,7 +702,7 @@ class TestEstimateDepthBands:
         assert not thread.is_alive()
         assert time.monotonic() - t0 < 10
         assert errors == ["hypothesis 4 cannot be scored"]
-        assert 2 not in costvol._POOLS
+        assert 2 not in pool._POOLS
         monkeypatch.undo()
         try:
             got = estimate_depth(window, intr, vel, hyp, sweep)
@@ -718,7 +719,7 @@ class TestEstimateDepthBands:
         if rss_shmem_kib() is None:
             pytest.skip("no RssShmem in /proc/self/status")
         shutdown_pools()
-        monkeypatch.setattr(costvol, "_DROP_BYTES", 1 << 62)
+        monkeypatch.setattr(pool, "_DROP_BYTES", 1 << 62)
         intr = CameraIntrinsics(f=150.0, cu=100.0, cv=75.0, width=200,
                                 height=150)
         window = sensor_window(intr, seed=6, n=20_000)
@@ -825,7 +826,7 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
     idx[0, :] = idx[:, 0] = 0
     idx[-1, :] = idx[:, -1] = d - 1
     for r0, r1 in ((0, h), (0, 4), (4, 8), (8, h)):
-        got = costvol._support_at(out.iwe, idx[r0:r1], r0, side)
+        got = aggregate._support_at(out.iwe, idx[r0:r1], r0, side)
         # the IWE is stored as float32
         np.testing.assert_allclose(got, at(box, idx)[r0:r1], rtol=1e-7,
                                    atol=1e-12)
@@ -833,8 +834,8 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
             assert np.array_equal(got, at(out.iwe, idx)[r0:r1])
 
     # at the pipeline's own winners, support decides the flags
-    costvol._aggregate_band(out, 0, h, hyp.inverse,
-                            AggregationConfig(min_support=0.3), side)
+    aggregate._aggregate_band(out, 0, h, hyp.inverse,
+                              AggregationConfig(min_support=0.3), side)
     support = at(box, out.winner)
     if side < 15:
         assert 0 < (support >= 0.3).sum() < h * w
@@ -851,7 +852,7 @@ def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
     # the band readout fuses over level 0 in place, and the sampled curves
     # and the winner's neighbours are read from there, bit for bit and sign
     # of zero included
-    monkeypatch.setattr(costvol, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(aggregate, "_BLOCK_BYTES", block_bytes)
     intr = CameraIntrinsics(f=50.0, cu=6.5, cv=5.5, width=13, height=11)
     vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
                          angular=(0.0, 0.01, 0.0))
@@ -872,5 +873,5 @@ def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
                                                 agg.peak_alpha)
                             for s in out.scores], agg.scale_weights)
         for r0, r1 in bands:
-            costvol._aggregate_band(out, r0, r1, hyp.inverse, agg, 3)
+            aggregate._aggregate_band(out, r0, r1, hyp.inverse, agg, 3)
         assert out.scores[0].tobytes() == want.tobytes()

@@ -1,0 +1,32 @@
+"""Module boundaries, read from the source: IHCA is pure NumPy, the pool
+knows nothing of depth, and the pipeline leaves processes to the pool."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "evdepth"
+
+
+def imported(module: str) -> set[str]:
+    """The top-level packages that ``evdepth.<module>`` imports; a
+    relative import counts as ``evdepth``."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("evdepth" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_aggregate_imports_only_numpy():
+    # dataclasses builds DepthMap, which the readout returns
+    assert imported("aggregate") <= {"__future__", "dataclasses", "numpy"}
+
+
+def test_pool_imports_nothing_from_evdepth():
+    assert "evdepth" not in imported("pool")
+
+
+def test_costvol_leaves_processes_to_the_pool():
+    assert not imported("costvol") & {"multiprocessing", "mmap", "threading"}
