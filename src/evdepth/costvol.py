@@ -273,12 +273,12 @@ def _read_window(discarded, mass, depth, confidence, winner, flags,
 
 def fill_depth(depth_map: DepthMap, policy: str = "none") -> DepthMap:
     """Complete invalid pixels.  ``nearest-valid`` copies the closest
-    measured depth."""
+    measured depth; a map with no measured pixel is returned as it is."""
     if policy not in FILL_POLICIES:
         raise ValueError(f"unknown fill policy {policy!r}")
-    if policy == "none" or depth_map.valid.all():
-        return depth_map
     holes = ~depth_map.valid
+    if policy == "none" or not holes.any() or holes.all():
+        return depth_map
     from scipy.ndimage import distance_transform_edt
 
     _, (iv, iu) = distance_transform_edt(holes, return_indices=True)

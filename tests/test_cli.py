@@ -295,6 +295,13 @@ class TestDepth:
         assert np.array_equal(masks["nearest-valid"] == 255, measured)
         assert (masks["nearest-valid"][~measured] == 128).all()
 
+    def test_fill_with_nothing_measured_leaves_all_invalid(self, dataset,
+                                                          tmp_path):
+        out = tmp_path / "out"
+        assert run_depth(dataset, out, ["--min-support", "1e9",
+                                        "--fill", "nearest-valid"]) == 0
+        assert not read_pgm(out / "mask_0000.pgm").any()
+
     def test_bad_window_radius_is_config_error(self, dataset, tmp_path):
         rc = run_depth(dataset, tmp_path / "out", ["--window-radius", "4"])
         assert rc == 2

@@ -342,6 +342,12 @@ class TestFillDepth:
         dm = self.make_map([5.0, 6.0], [True, True])
         assert fill_depth(dm, "nearest-valid") is dm
 
+    def test_nothing_measured_returns_input(self):
+        # no measured depth to copy: every pixel stays invalid
+        dm = self.make_map([DEPTH_SENTINEL, DEPTH_SENTINEL], [False, False])
+        out = fill_depth(dm, "nearest-valid")
+        assert out is dm and not out.flags.any()
+
     def test_nearest_valid_copies_closest(self):
         dm = self.make_map([5.0, DEPTH_SENTINEL, DEPTH_SENTINEL, 9.0],
                            [True, False, False, True])
