@@ -1,9 +1,6 @@
-"""Inter-hypotheses cost aggregation (IHCA) and depth readout.
-
-Each pixel's score curve over the depth hypotheses is trend-filtered at
-every pyramid scale, the scales are fused into one curve, and depth is read
-out by winner-take-all with sub-bin parabolic refinement in inverse depth.
-"""
+"""Inter-hypotheses cost aggregation (IHCA): each pixel's score curve is
+trend-filtered at every pyramid scale, the scales are fused, and depth is
+read out by winner-take-all with sub-bin parabolic refinement in 1/d."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -14,7 +14,6 @@ from functools import partial
 
 import numpy as np
 
-# DEPTH_SENTINEL, the FLAG_ values and shutdown_pools serve callers too
 from .aggregate import (DEPTH_SENTINEL, FLAG_FILLED, FLAG_INVALID,
                         FLAG_MEASURED, DepthMap, _aggregate_band,
                         _scale_weights)
@@ -197,7 +196,7 @@ def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config):
 
 
 def _pool_task(layout, window, intrinsics, velocity, depths, hyps, rows,
-                 sweep, agg, arena):
+               sweep, agg, arena):
     """A pool task: sweep the hypothesis range ``hyps`` into the window's
     arrays in ``arena``, and return the step that aggregates band ``rows``."""
     out = _window_arrays(layout, arena)

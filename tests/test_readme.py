@@ -51,3 +51,11 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch):
                 assert Path(args[0]).read_bytes() == Path(args[1]).read_bytes()
     finally:
         shutdown_pools()
+
+
+def test_layout_table_lists_every_module():
+    listed = re.findall(r"^\| `evdepth\.(\w+)` \|", README.read_text(), re.M)
+    package = README.parent / "src" / "evdepth"
+    modules = [path.stem for path in package.glob("*.py")
+               if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
