@@ -190,8 +190,8 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse,
     return DepthMap(depth=depth, confidence=confidence, flags=flags)
 
 
-def _aggregate_band(out, r0: int, r1: int, inverse, agg,
-                    side: int) -> None:
+def _aggregate_band(out, r0: int, r1: int, inverse, agg, side: int,
+                    release=lambda: None) -> None:
     """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
     ``costvol``'s swept window arrays ``out`` in place, under the
     ``AggregationConfig`` ``agg``, and write their depth, confidence, flags
@@ -204,7 +204,8 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg,
     bitwise theirs whatever the bands and blocks.  The fused curves are
     stored in place of the band's level 0, a block at a time; the readout
     keeps a running winner and the curve sum, and then reads the winner's
-    neighbours from the fused curves and support from its IWE.
+    neighbours from the fused curves and support from its IWE.  ``release``
+    is called between the two reads, once the score volumes are done with.
     """
     if r0 == r1:
         return
@@ -234,6 +235,7 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg,
     # the winner's neighbours in the fused curves, clamped at the ends
     lo, hi = (np.take_along_axis(levels[0], j[None], axis=0)[0]
               for j in (np.maximum(idx - 1, 0), np.minimum(idx + 1, d - 1)))
+    release()
 
     band_map = _readout(idx, best, lo, hi, total / d,
                         _support_at(out.iwe, idx, r0, side), inverse,

@@ -180,9 +180,11 @@ def _window_arrays(layout, buffer=None) -> _WindowArrays:
     return _WindowArrays(arrays[:n], *arrays[n:])
 
 
-def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config):
+def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config,
+                release=lambda: None):
     """Score hypotheses ``lo..hi-1`` into the window arrays ``out``: the
-    per-scale score volumes, then the IWE, discarded and mass."""
+    per-scale score volumes, then the IWE, discarded and mass.  Calls
+    ``release`` once each hypothesis's arrays are written."""
     warp = EventWarp(window, intrinsics, velocity)
     for j in range(lo, hi):
         iwe = accumulate(warp(depths[j]), intrinsics.resolution,
@@ -193,16 +195,19 @@ def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config):
         out.iwe[j] = iwe.grid
         out.discarded[j] = iwe.discarded
         out.mass[j] = iwe.mass
+        release()
 
 
 def _pool_task(layout, window, intrinsics, velocity, depths, hyps, rows,
-               sweep, agg, arena):
+               sweep, agg, arena, release):
     """A pool task: sweep the hypothesis range ``hyps`` into the window's
-    arrays in ``arena``, and return the step that aggregates band ``rows``."""
+    arrays in ``arena``, and return the step that aggregates band ``rows``;
+    both steps call ``release`` when they are done with the pages so far."""
     out = _window_arrays(layout, arena)
-    _sweep_into(out, window, intrinsics, velocity, depths, *hyps, sweep)
+    _sweep_into(out, window, intrinsics, velocity, depths, *hyps, sweep,
+                release)
     return partial(_aggregate_band, out, *rows, 1.0 / depths, agg,
-                   sweep.focus.window_radius)
+                   sweep.focus.window_radius, release)
 
 
 def _split(n: int, parts: int) -> list[tuple[int, int]]:

@@ -49,8 +49,11 @@ def accumulate(warped: np.ndarray, resolution: tuple[int, int],
         kept = int(ok.sum())
     elif splat == "bilinear":
         ok = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-        xk, yk = x[ok], y[ok]
-        wts = None if weights is None else weights[ok]
+        if ok.all():                      # the usual case: nothing to drop
+            xk, yk, wts = x, y, weights
+        else:
+            xk, yk = x[ok], y[ok]
+            wts = None if weights is None else weights[ok]
         x0 = xk.astype(np.int64)          # truncation is floor for x >= 0
         y0 = yk.astype(np.int64)
         fx, fy = xk - x0, yk - y0

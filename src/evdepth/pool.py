@@ -1,13 +1,16 @@
 """A cached pool of forked workers that runs a window as one task per
-worker.  Each worker calls its task on the shared arena to sweep, waits at
-a barrier until every worker has swept, and then calls the aggregate step
-that its task returned.  Tasks must pickle."""
+worker.  Each worker calls its task on the shared arena and a release
+callable to sweep, waits at a barrier until every worker has swept, and
+then calls the aggregate step that its task returned.  Tasks must pickle.
+A task calls release each time it has finished with the pages it has
+touched so far, so that a worker maps one step's pages at a time."""
 from __future__ import annotations
 
 import mmap
 import multiprocessing as mp
 import os
 import threading
+from functools import partial
 
 # Each pool is forked with its own shared-memory arena, a memfd, and a
 # barrier over its workers, which the entry keeps alive with the pool.
@@ -22,10 +25,13 @@ _worker_barrier = None
 # the wait on a worker that is stuck, so it is far above any sweep's spread.
 _BARRIER_TIMEOUT_S = 600.0
 # A window whose arrays take at least this many bytes has each worker drop
-# its mapping of them after each step, so that it holds about half of them
-# at a time.  Below it the pages saved are few (0.1 MiB per worker for a
-# 64x64 sensor at 32 hypotheses) and faulting them back in costs more.
+# its mapping of them whenever its task releases them.  Below it the pages
+# saved are few (0.1 MiB per worker for a 64x64 sensor at 32 hypotheses)
+# and faulting them back in costs more.
 _DROP_BYTES = 8 << 20
+# How often the parent, waiting for a window, checks that none of the
+# pool's workers has died; a dead worker's task would never return.
+_LIVENESS_S = 0.1
 
 
 def _attach(fd: int, barrier) -> None:
@@ -42,17 +48,18 @@ def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
 
 
 def _window_task(task) -> bool:
-    """Worker side: sweep by calling the task on the inherited arena; then,
-    once every worker has swept, call the aggregate step it returned.
-    Returns False if another worker failed to reach the barrier; a worker
-    that fails first breaks it, so none waits for it."""
+    """Worker side: sweep by calling the task on the inherited arena and a
+    release of its mapping; then, once every worker has swept, call the
+    aggregate step it returned.  Returns False if another worker failed to
+    reach the barrier; a worker that fails first breaks it, so none waits
+    for it."""
     sweep, nbytes = task
+    release = partial(_drop_mapping, _worker_arena, nbytes)
     try:
-        aggregate = sweep(_worker_arena)
+        aggregate = sweep(_worker_arena, release)
     except BaseException:
         _worker_barrier.abort()
         raise
-    _drop_mapping(_worker_arena, nbytes)
     try:
         _worker_barrier.wait(_BARRIER_TIMEOUT_S)
     except threading.BrokenBarrierError:
@@ -95,13 +102,25 @@ def _close_pool(pool, fd, _barrier) -> None:
 
 def _run_in_pool(workers: int, nbytes: int, tasks, read):
     """Run one window of ``nbytes`` on the cached pool, one of ``tasks`` per
-    worker, and return ``read(fd)`` of the arena.  A failed run closes the
-    pool, so the next call forks a fresh pool and barrier."""
+    worker, and return ``read(fd)`` of the arena.  A failed run, or one
+    during which a worker dies, closes the pool, so the next call forks a
+    fresh pool and barrier."""
     with _POOL_LOCK:
         pool, fd, _ = _get_pool(workers, nbytes)
         try:
-            if not all(pool.map(_window_task, [(t, nbytes) for t in tasks],
-                                chunksize=1)):
+            # the pool replaces a dead worker within about 0.1 s, so its
+            # workers are taken before any can die in this window
+            procs = list(pool._pool)
+            result = pool.map_async(_window_task,
+                                    [(t, nbytes) for t in tasks], chunksize=1)
+            while not result.ready():
+                result.wait(_LIVENESS_S)
+                dead = [p for p in procs if p.exitcode is not None]
+                if dead and not result.ready():
+                    raise ChildProcessError(
+                        f"pool worker {dead[0].pid} exited with code "
+                        f"{dead[0].exitcode} during a window")
+            if not all(result.get()):
                 raise TimeoutError("a sweep worker did not reach the barrier "
                                    f"within {_BARRIER_TIMEOUT_S:g} s")
         except BaseException:

@@ -2,7 +2,10 @@
 manifest replay and failure exit codes."""
 
 import json
+import os
+import signal
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdepth import cli
+from evdepth import cli, costvol
 from evdepth.cli import main
 from evdepth.costvol import shutdown_pools
 from evdepth.events import load_events, save_events_binary
@@ -183,6 +186,33 @@ class TestDepth:
         assert run_depth(dataset, c, ["--noise", "0.5", "--seed", "8"]) == 0
         assert ((a / "depth_0000.pfm").read_bytes()
                 != (c / "depth_0000.pfm").read_bytes())
+
+    def test_killed_pool_worker_exits_1(self, dataset, tmp_path, monkeypatch,
+                                        capsys):
+        # a worker killed mid-window (SIGKILL, as the OOM killer sends) fails
+        # the run; the run is in a thread, so that a hang fails the test
+        parent, score = os.getpid(), costvol.volume_score_map
+
+        def killing_score(grid, config, out=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return score(grid, config, out)
+
+        shutdown_pools()              # the pools fork with the killing scorer
+        monkeypatch.setattr(costvol, "volume_score_map", killing_score)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(run_depth(
+            dataset, tmp_path / "out", ["--threads", "2"])), daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        hung = thread.is_alive()
+        if not hung:                  # a hung run may hold the pool lock
+            shutdown_pools()
+        assert not hung
+        assert codes == [1]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: pool worker ")
 
     def test_manifest_replays_bitwise(self, dataset, tmp_path):
         first = tmp_path / "first"

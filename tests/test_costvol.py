@@ -2,10 +2,14 @@
 and the sweep pipeline."""
 
 import gc
+import multiprocessing
 import os
+import re
+import signal
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -692,32 +696,15 @@ class TestEstimateDepthBands:
     def test_failed_worker_fails_the_window_and_the_pool(self, monkeypatch):
         # one hypothesis raises in the second worker; the first must not
         # wait for it at the barrier
-        window, intr, vel, hyp, sweep = failing_window(monkeypatch)
-        errors = []
+        assert_failed_window_closes_the_pool(
+            monkeypatch, False, ValueError, "hypothesis 4 cannot be scored")
 
-        def run():
-            try:
-                estimate_depth(window, intr, vel, hyp, sweep)
-            except ValueError as exc:
-                errors.append(str(exc))
-
-        thread = threading.Thread(target=run, daemon=True)
-        t0 = time.monotonic()
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert time.monotonic() - t0 < 10
-        assert errors == ["hypothesis 4 cannot be scored"]
-        assert 2 not in pool._POOLS
-        monkeypatch.undo()
-        try:
-            got = estimate_depth(window, intr, vel, hyp, sweep)
-        finally:
-            shutdown_pools()
-        want = estimate_depth(window, intr, vel, hyp, replace(sweep, workers=1))
-        for name in ("depth", "confidence", "flags"):
-            assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
-        assert np.array_equal(got[1].winner, want[1].winner)
+    def test_killed_worker_fails_the_window_and_the_pool(self, monkeypatch):
+        # SIGKILL, as the OOM killer sends, in the second worker: its task
+        # never returns, and the first worker waits for it at the barrier
+        assert_failed_window_closes_the_pool(
+            monkeypatch, True, ChildProcessError,
+            r"pool worker \d+ exited with code -9 during a window")
 
     def test_parent_maps_none_of_the_arena(self, monkeypatch):
         # no process drops its mapping, so any page of the arena the parent
@@ -742,6 +729,43 @@ class TestEstimateDepthBands:
             shutdown_pools()
         assert len(summary.curves) == 8
         assert grown < 1024
+
+    def test_workers_map_one_step_of_the_arena_at_a_time(self, monkeypatch,
+                                                         tmp_path):
+        # each worker logs its mapped arena pages as it drops them: after
+        # every hypothesis it sweeps, and before the support gather, so it
+        # never maps much more than its band of the score volumes
+        if rss_shmem_kib() is None:
+            pytest.skip("no RssShmem in /proc/self/status")
+        log = tmp_path / "drops.txt"
+        drop = pool._drop_mapping
+
+        def logged_drop(arena, nbytes):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {rss_shmem_kib()}\n")
+            drop(arena, nbytes)
+
+        shutdown_pools()              # the pools fork with the logged drop
+        monkeypatch.setattr(pool, "_drop_mapping", logged_drop)
+        monkeypatch.setattr(pool, "_DROP_BYTES", 0)
+        intr = CameraIntrinsics(f=200.0, cu=173.0, cv=130.0, width=346,
+                                height=260)
+        window = sensor_window(intr, seed=7, n=20_000)
+        vel = VelocitySample(t=0.0, linear=(1.0, 0.0, 0.0),
+                             angular=(0.0, 0.0, 0.0))
+        hyp = inverse_depth_hypotheses(2.0, 50.0, 16)
+        sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=5),
+                            workers=2)
+        _, nbytes = costvol._window_layout(16, intr.resolution, 3)
+        try:
+            estimate_depth(window, intr, vel, hyp, sweep)
+        finally:
+            shutdown_pools()
+        records = [line.split() for line in log.read_text().splitlines()]
+        drops = Counter(pid for pid, _ in records)
+        assert len(drops) == 2
+        assert min(drops.values()) >= 8       # each swept 8 hypotheses
+        assert max(int(kib) for _, kib in records) * 1024 < 0.55 * nbytes
 
     def test_pools_leak_no_fd(self, monkeypatch):
         def open_fds():
@@ -782,10 +806,11 @@ def rss_shmem_kib():
     return None
 
 
-def failing_window(monkeypatch):
+def failing_window(monkeypatch, kill=False):
     """A window, its sensor, velocity, hypotheses and a 2-worker sweep
-    whose hypothesis 4 raises in the second worker; the pools are shut
-    down so that the next forks with the failing scorer."""
+    whose hypothesis 4 raises in the second worker, or with ``kill`` has
+    the worker kill itself; the pools are shut down so that the next forks
+    with the failing scorer."""
     window, intr = random_window(5), TINY_INTR
     vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
                          angular=(0.0, 0.01, 0.0))
@@ -795,15 +820,54 @@ def failing_window(monkeypatch):
     bad = accumulate(EventWarp(window, intr, vel)(hyp.depths[4]),
                      intr.resolution).grid
     score = costvol.volume_score_map
+    parent = os.getpid()
 
     def failing_score(grid, config, out=None):
         if grid.shape == bad.shape and np.array_equal(grid, bad):
+            if kill and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
             raise ValueError("hypothesis 4 cannot be scored")
         return score(grid, config, out)
 
     shutdown_pools()
     monkeypatch.setattr(costvol, "volume_score_map", failing_score)
     return window, intr, vel, hyp, sweep
+
+
+def assert_failed_window_closes_the_pool(monkeypatch, kill, error, message):
+    """The ``failing_window`` (with ``kill``) raises ``error`` with
+    ``message`` within 10 s and closes its pool; the next window forks a
+    fresh pool that gives the 1-worker result, and no worker outlives
+    ``shutdown_pools``.  The window runs in a thread, so that a hang fails
+    the test instead of stalling it."""
+    window, intr, vel, hyp, sweep = failing_window(monkeypatch, kill)
+    errors = []
+
+    def run():
+        try:
+            estimate_depth(window, intr, vel, hyp, sweep)
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    t0 = time.monotonic()
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert time.monotonic() - t0 < 10
+    assert [type(exc) for exc in errors] == [error]
+    assert re.fullmatch(message, str(errors[0]))
+    assert 2 not in pool._POOLS
+    monkeypatch.undo()
+    try:
+        got = estimate_depth(window, intr, vel, hyp, sweep)
+    finally:
+        shutdown_pools()
+    assert not multiprocessing.active_children()
+    want = estimate_depth(window, intr, vel, hyp, replace(sweep, workers=1))
+    for name in ("depth", "confidence", "flags"):
+        assert np.array_equal(getattr(got[0], name), getattr(want[0], name))
+    assert np.array_equal(got[1].winner, want[1].winner)
 
 
 @pytest.mark.parametrize("side", [1, 3, 5, 15])

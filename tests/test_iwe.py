@@ -128,6 +128,22 @@ class TestBilinearReference:
             assert out.discarded == discarded
             assert out.grid.flags.c_contiguous
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_event_out_of_bounds_only_adds_a_discard(self, weighted):
+        # all in bounds splats the events as given; one more out of bounds
+        # splats the in-bounds rest, which must give the same grid
+        rng = np.random.default_rng(3)
+        pts = np.ascontiguousarray(np.column_stack(
+            [rng.uniform(0, 9, 500), rng.uniform(0, 6, 500)]).T).T
+        weights = rng.normal(size=501) if weighted else None
+        inside = accumulate(pts, (10, 7), splat="bilinear",
+                            weights=None if weights is None else weights[:500])
+        more = accumulate(np.vstack([pts, [[9.5, 3.0]]]), (10, 7),
+                          splat="bilinear", weights=weights)
+        assert inside.discarded == 0
+        assert more.discarded == 1
+        assert np.array_equal(more.grid, inside.grid)
+
 
 class TestAccumulateGeneral:
     def test_empty_input(self):
