@@ -123,20 +123,13 @@ def _fuse_block(levels, divisors, weights) -> np.ndarray:
     out *= weights[0]
     # as 0.0 + norm: x / inf may be -0.0, which adds as zero
     out += 0.0
-    n, h, w = out.shape
+    _, h, w = out.shape
     for k in range(1, len(levels)):
         norm = levels[k] / divisors[k]
         norm *= weights[k]
         f = 2 ** k
         wide = norm.repeat(f, axis=2)[:, :, :w]
-        # whole groups of f rows, each upsampled from one coarse row, then
-        # the rows left over at the bottom
-        full = h // f
-        s0, s1, s2 = out.strides
-        groups = np.lib.stride_tricks.as_strided(
-            out, (n, full, f, w), (s0, f * s1, s1, s2))
-        groups += wide[:, :full, None]
-        out[:, full * f:] += wide[:, full:full + 1]
+        out += wide.repeat(f, axis=1)[:, :h]
     out /= weights.sum()
     return out
 

@@ -454,8 +454,12 @@ def cmd_ablate(args) -> int:
                                        _noise_seed(args.seed, li, wi, trial))
                 depth_map, _ = estimate_depth(window, rig.intrinsics, vel,
                                               hyp, sweep, agg)
-                per_window.append(evaluate(depth_map.depth, truth,
-                                           max_depth=args.max_depth))
+                try:
+                    per_window.append(evaluate(depth_map.depth, truth,
+                                               max_depth=args.max_depth))
+                except ValueError as exc:
+                    raise ValueError(f"noise {level:g} trial {trial} window "
+                                     f"{wi} against {args.truth}: {exc}") from exc
             trial_reports.append(aggregate_reports(per_window))
         medians = {name: float(np.median([getattr(r, name)
                                           for r in trial_reports]))

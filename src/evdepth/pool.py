@@ -21,8 +21,10 @@ _POOLS: dict[int, tuple] = {}      # workers -> (pool, arena fd, barrier)
 _POOL_LOCK = threading.Lock()
 _worker_arena: mmap.mmap | None = None
 _worker_barrier = None
-# How long a worker that has swept waits for the others.  It only bounds
-# the wait on a worker that is stuck, so it is far above any sweep's spread.
+# How long a worker that has swept waits for the others.  It frees only the
+# waiting worker: a sweep that finishes this long after its peer's fails
+# the window, and a sweep that never returns holds the window until the job
+# is killed.  So it is far above any sweep's spread.
 _BARRIER_TIMEOUT_S = 600.0
 # A window whose arrays take at least this many bytes has each worker drop
 # its mapping of them whenever its task releases them.  Below it the pages

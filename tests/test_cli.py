@@ -546,8 +546,10 @@ def test_numeric_flag_errors_name_the_flag(dataset, tmp_path, capsys, command,
 @pytest.mark.parametrize("command", ["depth", "ablate"])
 @pytest.mark.parametrize("flags, message", [
     (["--scales", "6"], "error: --scales: 6 scales shrink the 64x64 sensor"),
-    (["--scales", "1", "--scale-weights", "0"], "error: --scale-weights must be")],
-    ids=["too_deep", "zero_weight"])
+    (["--scales", "1", "--scale-weights", "0"], "error: --scale-weights must be"),
+    (["--scales", "2", "--scale-weights", "1,1,1"],
+     "error: --scale-weights needs 2 values")],
+    ids=["too_deep", "zero_weight", "weight_count"])
 def test_bad_scales_are_config_errors(dataset, tmp_path, capsys, command,
                                       flags, message):
     extra = (["--truth", str(dataset / "sim" / "truth.pfm"), "--levels", "0"]
@@ -728,3 +730,16 @@ class TestAblate:
         assert err.startswith(f"error: ground-truth depth {truth}: shape 10x10")
         assert "64x64" in err
         assert not (tmp_path / "out").exists()
+
+    def test_window_with_nothing_to_grade_is_named(self, dataset, tmp_path,
+                                                   capsys):
+        # no pixel reaches the support floor, so window 0 has no depth
+        truth = dataset / "sim" / "truth.pfm"
+        rc = main(["ablate", *inputs(dataset), "--truth", str(truth),
+                   "--out", str(tmp_path / "out"), *FAST,
+                   "--min-support", "1e9", "--levels", "0"])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: noise 0 trial 0 window 0 against "
+                                   f"{truth}: no pixels are valid")
