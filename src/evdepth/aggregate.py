@@ -31,6 +31,11 @@ class DepthMap:
 # time; a block of float64 slices takes at most this many bytes (or one
 # slice), so that a block and its temporaries stay in a core's L2 cache.
 _BLOCK_BYTES = 1 << 19
+# A band of rows is aggregated a sub-band at a time: a run of whole
+# 2**(scales-1)-row groups whose score levels take at most this many bytes
+# (or one group), so that a pool worker maps one sub-band of the scores at
+# a time.  Smaller sub-bands map less but take longer.
+_BAND_BYTES = 16 << 20
 
 
 def _block_slices(shape) -> int:
@@ -192,17 +197,31 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg, side: int,
     level's band is whole.  A pixel's support is the mass of its winner's
     IWE in the ``side`` x ``side`` window around it.
 
+    The rows are aggregated a sub-band at a time (see ``_BAND_BYTES``).
     Every step reduces over hypotheses one pixel at a time, in the order
     of filtering, fusing and reading out whole volumes, so the maps are
-    bitwise theirs whatever the bands and blocks.  The fused curves are
-    stored in place of the band's level 0, a block at a time; the readout
-    keeps a running winner and the curve sum, and then reads the winner's
-    neighbours from the fused curves and support from its IWE.  ``release``
-    is called between the two reads, once the score volumes are done with.
+    bitwise theirs whatever the bands, sub-bands and blocks.  The fused
+    curves are stored in place of the sub-band's level 0, a block at a
+    time; the readout keeps a running winner and the curve sum, and then
+    reads the winner's neighbours from the fused curves and support from
+    its IWE.  ``release`` is called twice per sub-band: between the two
+    reads, once its score volumes are done with, and once its maps are
+    written.
     """
-    if r0 == r1:
-        return
     weights = _scale_weights(agg.scale_weights, len(out.scores))
+    group = 2 ** (len(out.scores) - 1)
+    group_bytes = sum(len(s) * (group >> k) * s.shape[2] * s.itemsize
+                      for k, s in enumerate(out.scores))
+    rows = group * max(1, _BAND_BYTES // group_bytes)
+    for a in range(r0, r1, rows):
+        _aggregate_rows(out, a, min(a + rows, r1), inverse, agg, side,
+                        weights, release)
+
+
+def _aggregate_rows(out, r0, r1, inverse, agg, side, weights,
+                    release) -> None:
+    """``_aggregate_band`` of one sub-band, rows ``r0..r1-1``, under the
+    fusion ``weights``."""
     d, _, w = out.iwe.shape
     h = r1 - r0
     levels, divisors = [], []
@@ -237,3 +256,4 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg, side: int,
     out.confidence[r0:r1] = band_map.confidence
     out.flags[r0:r1] = band_map.flags
     out.winner[r0:r1] = idx
+    release()

@@ -661,12 +661,17 @@ class TestEstimateDepthBands:
         (12, 7, 2, 6, 1, 0.7, 300),     # height not a multiple of 2
     ]
 
+    # 1-byte sub-bands are one row group each; 5,000 bytes leave a short
+    # last sub-band of several groups in all but the 13x11 case
+    @pytest.mark.parametrize("band_bytes", [1, 5_000, aggregate._BAND_BYTES],
+                             ids=["group", "short", "default"])
     @pytest.mark.parametrize("block_bytes", [1, 2_000, 1 << 19],
                              ids=["slice", "blocks", "whole"])
     def test_maps_winner_and_curves_match_whole_volume_stages(
-            self, monkeypatch, sweep_window, block_bytes):
+            self, monkeypatch, sweep_window, block_bytes, band_bytes):
         shutdown_pools()              # the pools fork with these sizes
         monkeypatch.setattr(aggregate, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(aggregate, "_BAND_BYTES", band_bytes)
         # every window drops its mappings, which must keep the data
         monkeypatch.setattr(pool, "_DROP_BYTES", 0)
         vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
@@ -733,39 +738,27 @@ class TestEstimateDepthBands:
     def test_workers_map_one_step_of_the_arena_at_a_time(self, monkeypatch,
                                                          tmp_path):
         # each worker logs its mapped arena pages as it drops them: after
-        # every hypothesis it sweeps, and before the support gather, so it
-        # never maps much more than its band of the score volumes
-        if rss_shmem_kib() is None:
-            pytest.skip("no RssShmem in /proc/self/status")
-        log = tmp_path / "drops.txt"
-        drop = pool._drop_mapping
-
-        def logged_drop(arena, nbytes):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {rss_shmem_kib()}\n")
-            drop(arena, nbytes)
-
-        shutdown_pools()              # the pools fork with the logged drop
-        monkeypatch.setattr(pool, "_drop_mapping", logged_drop)
-        monkeypatch.setattr(pool, "_DROP_BYTES", 0)
-        intr = CameraIntrinsics(f=200.0, cu=173.0, cv=130.0, width=346,
-                                height=260)
-        window = sensor_window(intr, seed=7, n=20_000)
-        vel = VelocitySample(t=0.0, linear=(1.0, 0.0, 0.0),
-                             angular=(0.0, 0.0, 0.0))
-        hyp = inverse_depth_hypotheses(2.0, 50.0, 16)
-        sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=5),
-                            workers=2)
-        _, nbytes = costvol._window_layout(16, intr.resolution, 3)
-        try:
-            estimate_depth(window, intr, vel, hyp, sweep)
-        finally:
-            shutdown_pools()
-        records = [line.split() for line in log.read_text().splitlines()]
+        # every hypothesis it sweeps, and before each sub-band's support
+        # gather and after its maps, so it never maps much more than one
+        # sub-band of the score volumes; here each band is one sub-band
+        records, nbytes = logged_drops(monkeypatch, tmp_path)
         drops = Counter(pid for pid, _ in records)
         assert len(drops) == 2
         assert min(drops.values()) >= 8       # each swept 8 hypotheses
         assert max(int(kib) for _, kib in records) * 1024 < 0.55 * nbytes
+
+    def test_workers_map_one_sub_band_at_a_time(self, monkeypatch, tmp_path):
+        # sub-bands of one 4-row group: the workers' bands are 33 and 32
+        # groups, each worker releases twice per sub-band, and it maps a
+        # small share of its band at any time
+        monkeypatch.setattr(aggregate, "_BAND_BYTES", 1)
+        records, nbytes = logged_drops(monkeypatch, tmp_path)
+        drops = Counter(pid for pid, _ in records)
+        assert len(drops) == 2
+        assert min(drops.values()) >= 8 + 2 * 32    # 8 sweeps, 32 sub-bands
+        for pid in drops:
+            assert max(int(kib) for p, kib in records
+                       if p == pid) * 1024 < 0.25 * nbytes
 
     def test_pools_leak_no_fd(self, monkeypatch):
         def open_fds():
@@ -791,6 +784,39 @@ class TestEstimateDepthBands:
         finally:
             shutdown_pools()
         assert open_fds() == before
+
+
+def logged_drops(monkeypatch, tmp_path):
+    """Run a 346x260 window at 16 hypotheses and 3 scales on 2 workers
+    that drop their mappings at every release; returns the (pid, RssShmem
+    KiB) each worker logged as it dropped, and the window's arena bytes."""
+    if rss_shmem_kib() is None:
+        pytest.skip("no RssShmem in /proc/self/status")
+    log = tmp_path / "drops.txt"
+    drop = pool._drop_mapping
+
+    def logged_drop(arena, nbytes):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {rss_shmem_kib()}\n")
+        drop(arena, nbytes)
+
+    shutdown_pools()              # the pools fork with the logged drop
+    monkeypatch.setattr(pool, "_drop_mapping", logged_drop)
+    monkeypatch.setattr(pool, "_DROP_BYTES", 0)
+    intr = CameraIntrinsics(f=200.0, cu=173.0, cv=130.0, width=346,
+                            height=260)
+    window = sensor_window(intr, seed=7, n=20_000)
+    vel = VelocitySample(t=0.0, linear=(1.0, 0.0, 0.0),
+                         angular=(0.0, 0.0, 0.0))
+    hyp = inverse_depth_hypotheses(2.0, 50.0, 16)
+    sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=5),
+                        workers=2)
+    _, nbytes = costvol._window_layout(16, intr.resolution, 3)
+    try:
+        estimate_depth(window, intr, vel, hyp, sweep)
+    finally:
+        shutdown_pools()
+    return [line.split() for line in log.read_text().splitlines()], nbytes
 
 
 def rss_shmem_kib():
@@ -913,16 +939,25 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
     assert np.array_equal(out.flags == FLAG_MEASURED, support >= 0.3)
 
 
-@pytest.mark.parametrize("bands", [[(0, 11)], [(0, 4), (4, 8), (8, 11)]],
-                         ids=["whole", "bands"])
+# a 13x11 sensor at 3 scales and 9 hypotheses: a 4-row group of its score
+# levels takes 5,040 bytes, so the whole band runs in sub-bands of 4, 4
+# and 3 rows at 1 byte and of 8 and 3 rows at 12,000 bytes
+@pytest.mark.parametrize("bands, band_bytes", [
+    ([(0, 11)], aggregate._BAND_BYTES),
+    ([(0, 4), (4, 8), (8, 11)], aggregate._BAND_BYTES),
+    ([(0, 11)], 1),
+    ([(0, 11)], 12_000),
+], ids=["whole", "bands", "whole-group", "whole-short"])
 @pytest.mark.parametrize("block_bytes", [1, 2_000, 1 << 19],
                          ids=["slice", "blocks", "whole"])
 def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
-                                                   bands, block_bytes):
+                                                   bands, band_bytes,
+                                                   block_bytes):
     # the band readout fuses over level 0 in place, and the sampled curves
     # and the winner's neighbours are read from there, bit for bit and sign
     # of zero included
     monkeypatch.setattr(aggregate, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(aggregate, "_BAND_BYTES", band_bytes)
     intr = CameraIntrinsics(f=50.0, cu=6.5, cv=5.5, width=13, height=11)
     vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
                          angular=(0.0, 0.01, 0.0))
