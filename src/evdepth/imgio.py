@@ -60,7 +60,11 @@ def read_pfm(path: str | Path) -> np.ndarray:
         if not (np.isfinite(scale) and scale != 0):
             raise ValueError(f"{path}: bad PFM scale line {line!r}")
         dtype = "<f4" if scale < 0 else ">f4"
-        return _read_grid(fh, path, w, h, dtype, "PFM")[::-1].astype(np.float32)
+        grid = _read_grid(fh, path, w, h, dtype, "PFM")[::-1].astype(np.float32)
+    # a signalling NaN in the payload is made quiet, so that widening the
+    # grid later does not raise the invalid-operation flag
+    grid[np.isnan(grid)] = np.nan
+    return grid
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

@@ -29,6 +29,16 @@ class TestPfm:
         np.testing.assert_array_equal(
             np.frombuffer(payload[:8], dtype="<f4"), [3.0, 4.0])
 
+    @pytest.mark.parametrize("scale, nan", [(b"-1.0", b"\x00\x00\x81\x7f"),
+                                            (b"1.0", b"\x7f\x81\x00\x00")],
+                             ids=["little", "big"])
+    def test_signalling_nan_is_quieted(self, tmp_path, scale, nan):
+        # widening a signalling NaN raises "invalid value encountered in cast"
+        path = tmp_path / "snan.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + nan + b"\x00" * 4)
+        out = read_pfm(path).astype(np.float64)
+        assert np.isnan(out[0, 0]) and out[0, 1] == 0.0
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pfm(tmp_path / "x.pfm", np.zeros((2, 2, 3)))

@@ -198,6 +198,8 @@ def test_scene(data):
 
 @settings(max_examples=150, deadline=None)
 @given(pfm_bytes(), st.booleans())
+@example(b"Pf\n2 2\n-1.0\n" + np.array([1.0, 2.0, 3.0], "<f4").tobytes()
+         + b"\x00\x00\x81\x7f", True)        # a signalling NaN
 def test_pfm(data, as_truth):
     # a fuzzed prediction scored against a valid truth, or the other way
     with tempfile.TemporaryDirectory() as tmp:
