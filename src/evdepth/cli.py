@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .costvol import (FILL_POLICIES, FLAG_FILLED, FLAG_MEASURED,
                       AggregationConfig, SweepConfig, check_scales,
-                      estimate_depth, inverse_depth_hypotheses)
+                      estimate_depth, inverse_depth_hypotheses, start_pool)
 from .events import (check_stream, form_windows, load_events,
                      save_events_binary, save_events_text)
 from .focus import VOLUME_KINDS, FocusConfig, FocusWeights
@@ -223,14 +223,16 @@ def _load_rig(args) -> CameraRig:
                         args.track, "velocity track")
 
 
-def _load_windows(args):
+def _load_windows(args, hyp, sweep):
     """The camera rig, checked against --scales, and the windows of a
-    non-empty event stream that fits its sensor."""
+    non-empty event stream that fits its sensor.  The sweep's pool is
+    forked in between, so that its workers hold no copy of the stream."""
     rig = _load_rig(args)
     try:
         check_scales(args.scales, rig.intrinsics)
     except ValueError as exc:
         raise ConfigError(f"--scales: {exc}") from exc
+    start_pool(sweep, hyp, rig.intrinsics)
     events = _parse_input(load_events, args.events, "event stream")
     if len(events) == 0:
         raise ConfigError(f"event stream is empty: {args.events}")
@@ -336,7 +338,7 @@ def cmd_depth(args) -> int:
     _require(args, "events", "camera", "track", "out")
     _check_finite("--noise", args.noise)
     hyp, sweep, agg = _pipeline_configs(args)
-    rig, windows = _load_windows(args)
+    rig, windows = _load_windows(args, hyp, sweep)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "depth", args)
 
@@ -434,7 +436,7 @@ def cmd_ablate(args) -> int:
         _check_finite("--levels", level)
     _check_finite("--max-depth", args.max_depth, positive=True)
     hyp, sweep, agg = _pipeline_configs(args)
-    rig, windows = _load_windows(args)
+    rig, windows = _load_windows(args, hyp, sweep)
     truth = _parse_input(read_pfm, args.truth, "ground-truth depth")
     sensor = (rig.intrinsics.height, rig.intrinsics.width)
     if truth.shape != sensor:

@@ -21,7 +21,7 @@ from .events import EventWindow
 from .focus import VOLUME_KINDS, FocusConfig, objective, volume_score_map
 from .iwe import SPLATS, accumulate, build_pyramid
 from .motion import CameraIntrinsics, EventWarp, VelocitySample
-from .pool import _run_in_pool, shutdown_pools
+from .pool import _run_in_pool, fork_pool, shutdown_pools
 
 FILL_POLICIES = ("none", "nearest-valid")
 
@@ -296,6 +296,17 @@ def fill_depth(depth_map: DepthMap, policy: str = "none") -> DepthMap:
 # ---------------------------------------------------------------------------
 # Whole-window pipeline
 
+def start_pool(sweep: SweepConfig, hypotheses: HypothesisSet,
+               intrinsics: CameraIntrinsics) -> None:
+    """Fork the pool that ``estimate_depth`` runs this sweep's windows on,
+    with their arena, before the caller loads the event stream: a worker's
+    resident set then holds none of it.  Does nothing for one worker."""
+    if sweep.workers > 1:
+        _, nbytes = _window_layout(len(hypotheses), intrinsics.resolution,
+                                   sweep.num_scales)
+        fork_pool(sweep.workers, nbytes)
+
+
 def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
                    velocity: VelocitySample, hypotheses: HypothesisSet,
                    sweep: SweepConfig = SweepConfig(),
@@ -308,7 +319,8 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
     the hypotheses into the shared arena, waits until all have, and then
     aggregates one band of rows in place.  With one worker the same two
     steps run in-process over all hypotheses, then all rows, and the
-    outputs are bitwise the same whatever the worker count.
+    outputs are bitwise the same whatever the worker count.  The pool is
+    forked at the first window unless ``start_pool`` forked it earlier.
     """
     check_scales(sweep.num_scales, intrinsics)
     _scale_weights(agg.scale_weights, sweep.num_scales)   # before any sweep

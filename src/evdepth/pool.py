@@ -6,6 +6,7 @@ A task calls release each time it has finished with the pages it has
 touched so far, so that a worker maps one step's pages at a time."""
 from __future__ import annotations
 
+import ctypes
 import mmap
 import multiprocessing as mp
 import os
@@ -31,15 +32,31 @@ _BARRIER_TIMEOUT_S = 600.0
 # saved are few (0.1 MiB per worker for a 64x64 sensor at 32 hypotheses)
 # and faulting them back in costs more.
 _DROP_BYTES = 8 << 20
+# Each freed mmapped chunk of up to 32 MiB raises glibc malloc's mmap
+# threshold to its size, and its trim threshold to twice that, so a
+# process that has freed large arrays keeps later buffers on the heap.
+# Workers forked before the event stream loads start from the defaults,
+# under which the sweep's per-hypothesis buffers (1.3 MB for a 240x180
+# warp) are unmapped or trimmed after every hypothesis and faulted back
+# in; pinned thresholds, which also stop the raising, keep them resident.
+_MMAP_THRESHOLD = 16 << 20
+_TRIM_THRESHOLD = 32 << 20
 # How often the parent, waiting for a window, checks that none of the
 # pool's workers has died; a dead worker's task would never return.
 _LIVENESS_S = 0.1
 
 
 def _attach(fd: int, barrier) -> None:
-    """Pool initializer: map the arena from the fd inherited at the fork."""
+    """Pool initializer: map the arena from the fd inherited at the fork,
+    and pin malloc's thresholds where libc has ``mallopt``."""
     global _worker_arena, _worker_barrier
     _worker_arena, _worker_barrier = mmap.mmap(fd, 0), barrier
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, _MMAP_THRESHOLD)         # M_MMAP_THRESHOLD
+        mallopt(-1, _TRIM_THRESHOLD)         # M_TRIM_THRESHOLD
 
 
 def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
@@ -67,7 +84,6 @@ def _window_task(task) -> bool:
     except threading.BrokenBarrierError:
         return False
     aggregate()
-    _drop_mapping(_worker_arena, nbytes)
     return True
 
 
@@ -92,6 +108,14 @@ def _get_pool(workers: int, nbytes: int):
             raise
         entry = _POOLS[workers] = (pool, fd, barrier)
     return entry
+
+
+def fork_pool(workers: int, nbytes: int) -> None:
+    """Fork the cached pool of ``workers`` processes with an arena of at
+    least ``nbytes`` now, rather than at its first window, so that the
+    workers hold none of what the parent allocates afterwards."""
+    with _POOL_LOCK:
+        _get_pool(workers, nbytes)
 
 
 def _close_pool(pool, fd, _barrier) -> None:

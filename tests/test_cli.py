@@ -2,6 +2,7 @@
 manifest replay and failure exit codes."""
 
 import json
+import multiprocessing
 import os
 import signal
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdepth import cli, costvol
+from evdepth import cli, costvol, pool
 from evdepth.cli import main
 from evdepth.costvol import shutdown_pools
 from evdepth.events import load_events, save_events_binary
@@ -590,6 +591,92 @@ def test_bad_camera_or_track_is_config_error_naming_file(
     assert err.startswith(f"error: {what} {bad}{after_path}")
     assert err.count(str(bad)) == 1
     assert not (tmp_path / "out").exists()
+
+
+def sweep_extra(command, dataset):
+    """The flags ``ablate`` needs beside ``depth``'s: the truth, and two
+    noise levels of two trials each."""
+    return (["--truth", str(dataset / "sim" / "truth.pfm"),
+             "--levels", "0,0.5", "--trials", "2"]
+            if command == "ablate" else [])
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+def test_pool_forks_before_the_stream_loads(dataset, tmp_path, monkeypatch,
+                                            command):
+    # the pool of a --threads 2 run exists when the stream is read, and
+    # every window of the run (five here) runs on that same pool
+    load, pools_at_load = cli.load_events, []
+
+    def recording_load(path):
+        pools_at_load.append(dict(pool._POOLS))
+        return load(path)
+
+    shutdown_pools()
+    monkeypatch.setattr(cli, "load_events", recording_load)
+    outs = {threads: tmp_path / f"threads_{threads}" for threads in "12"}
+    try:
+        for threads, out in outs.items():
+            assert main([command, *inputs(dataset), "--out", str(out), *FAST,
+                         "--threads", threads, "--max-count", "800",
+                         *sweep_extra(command, dataset)]) == 0
+        pools_at_end = dict(pool._POOLS)
+    finally:
+        shutdown_pools()
+    assert pools_at_load[0] == {}                  # one worker forks none
+    assert list(pools_at_load[1]) == list(pools_at_end) == [2]
+    assert pools_at_load[1][2] is pools_at_end[2]
+    pattern = "*_*.p[fg]m" if command == "depth" else "ablation.*"
+    names = sorted(p.name for p in outs["1"].glob(pattern))
+    assert len(names) == (15 if command == "depth" else 2)
+    assert names == sorted(p.name for p in outs["2"].glob(pattern))
+    for name in names:
+        assert ((outs["1"] / name).read_bytes()
+                == (outs["2"] / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+@pytest.mark.parametrize("stream", ["missing", "malformed"])
+def test_bad_stream_after_the_pool_forks_is_config_error(
+        dataset, tmp_path, capsys, command, stream):
+    events = tmp_path / "events.txt"
+    if stream == "malformed":
+        events.write_text("# t u v p\n0.0 1 2 1\n0.1 1 2\n")
+    shutdown_pools()
+    try:
+        rc = main([command, "--events", str(events),
+                   "--camera", str(dataset / "camera.json"),
+                   "--track", str(dataset / "track.txt"),
+                   "--out", str(tmp_path / "out"), *FAST, "--threads", "2",
+                   *sweep_extra(command, dataset)])
+        forked = list(pool._POOLS)
+    finally:
+        shutdown_pools()
+    assert rc == 2
+    assert forked == [2]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: event stream ")
+    assert str(events) in lines[0]
+    assert not (tmp_path / "out").exists()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+@pytest.mark.parametrize("flags", [["--scales", "6"], ["--camera", "no.json"]],
+                         ids=["scales", "camera"])
+def test_config_error_before_the_stream_forks_no_pool(
+        dataset, tmp_path, command, flags):
+    shutdown_pools()
+    try:
+        rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
+                   *FAST, "--threads", "2", *flags,
+                   *sweep_extra(command, dataset)])
+        forked = list(pool._POOLS)
+    finally:
+        shutdown_pools()
+    assert rc == 2
+    assert forked == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "eval"])

@@ -4,8 +4,10 @@ and the sweep pipeline."""
 import gc
 import multiprocessing
 import os
+import platform
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -749,13 +751,13 @@ class TestEstimateDepthBands:
 
     def test_workers_map_one_sub_band_at_a_time(self, monkeypatch, tmp_path):
         # sub-bands of one 4-row group: the workers' bands are 33 and 32
-        # groups, each worker releases twice per sub-band, and it maps a
-        # small share of its band at any time
+        # groups, each worker releases once per hypothesis it sweeps and
+        # twice per sub-band, and no more, and it maps a small share of its
+        # band at any time
         monkeypatch.setattr(aggregate, "_BAND_BYTES", 1)
         records, nbytes = logged_drops(monkeypatch, tmp_path)
         drops = Counter(pid for pid, _ in records)
-        assert len(drops) == 2
-        assert min(drops.values()) >= 8 + 2 * 32    # 8 sweeps, 32 sub-bands
+        assert sorted(drops.values()) == [8 + 2 * 32, 8 + 2 * 33]
         for pid in drops:
             assert max(int(kib) for p, kib in records
                        if p == pid) * 1024 < 0.25 * nbytes
@@ -784,6 +786,40 @@ class TestEstimateDepthBands:
         finally:
             shutdown_pools()
         assert open_fds() == before
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="pins glibc malloc's thresholds")
+    def test_workers_keep_freed_buffers_resident(self):
+        # a pool worker that frees a 1 MiB buffer and fills another of the
+        # same size refills the first's pages; the pool is forked in a
+        # fresh process, whose malloc thresholds no earlier test raised
+        src = os.path.dirname(os.path.dirname(pool.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", REFAULTS], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 64         # 256 pages if mapped afresh
+
+
+REFAULTS = """
+import resource
+import numpy as np
+from evdepth import pool
+
+
+def refaults(nbytes):
+    np.ones(nbytes, np.uint8)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(nbytes, np.uint8)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+pool.fork_pool(2, 4096)
+try:
+    print(pool._POOLS[2][0].apply(refaults, (1 << 20,)))
+finally:
+    pool.shutdown_pools()
+"""
 
 
 def logged_drops(monkeypatch, tmp_path):
