@@ -189,7 +189,7 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse,
 
 
 def _aggregate_band(out, r0: int, r1: int, inverse, agg, side: int,
-                    release=lambda: None) -> None:
+                    release) -> None:
     """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
     ``costvol``'s swept window arrays ``out`` in place, under the
     ``AggregationConfig`` ``agg``, and write their depth, confidence, flags

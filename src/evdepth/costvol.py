@@ -8,7 +8,6 @@ whatever the worker count.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -21,7 +20,7 @@ from .events import EventWindow
 from .focus import VOLUME_KINDS, FocusConfig, objective, volume_score_map
 from .iwe import SPLATS, accumulate, build_pyramid
 from .motion import CameraIntrinsics, EventWarp, VelocitySample
-from .pool import _run_in_pool, fork_pool, shutdown_pools
+from .pool import fork_pool, run_window, shutdown_pools
 
 FILL_POLICIES = ("none", "nearest-valid")
 
@@ -168,20 +167,17 @@ def _window_layout(d, resolution, num_scales):
     return layout, offset
 
 
-def _window_arrays(layout, buffer=None) -> _WindowArrays:
-    """A window's arrays as views of ``buffer``, or freshly allocated."""
-    if buffer is None:
-        arrays = [np.empty(shape, dtype) for dtype, shape, _ in layout]
-    else:
-        arrays = [np.frombuffer(buffer, dtype, int(np.prod(shape)), offset
-                                ).reshape(shape)
-                  for dtype, shape, offset in layout]
+def _window_arrays(layout, buffer) -> _WindowArrays:
+    """A window's arrays as views of ``buffer``."""
+    arrays = [np.frombuffer(buffer, dtype, int(np.prod(shape)), offset
+                            ).reshape(shape)
+              for dtype, shape, offset in layout]
     n = len(arrays) - 7
     return _WindowArrays(arrays[:n], *arrays[n:])
 
 
 def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config,
-                release=lambda: None):
+                release):
     """Score hypotheses ``lo..hi-1`` into the window arrays ``out``: the
     per-scale score volumes, then the IWE, discarded and mass.  Calls
     ``release`` once each hypothesis's arrays are written."""
@@ -198,12 +194,12 @@ def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config,
         release()
 
 
-def _pool_task(layout, window, intrinsics, velocity, depths, hyps, rows,
-               sweep, agg, arena, release):
-    """A pool task: sweep the hypothesis range ``hyps`` into the window's
-    arrays in ``arena``, and return the step that aggregates band ``rows``;
-    both steps call ``release`` when they are done with the pages so far."""
-    out = _window_arrays(layout, arena)
+def _sweep_task(layout, window, intrinsics, velocity, depths, hyps, rows,
+                sweep, agg, buffer, release):
+    """A ``run_window`` task: sweep the hypothesis range ``hyps`` into the
+    window's arrays in ``buffer``, and return the step that aggregates band
+    ``rows``; both steps call ``release`` when done with the pages so far."""
+    out = _window_arrays(layout, buffer)
     _sweep_into(out, window, intrinsics, velocity, depths, *hyps, sweep,
                 release)
     return partial(_aggregate_band, out, *rows, 1.0 / depths, agg,
@@ -217,28 +213,44 @@ def _split(n: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _read_arena(fd: int, layout) -> tuple[DepthMap, SweepSummary]:
-    """``_read_window`` of the window in the arena file ``fd``, without
-    mapping it.  The tallies and maps end the layout with no gap between
-    them, as each but the last is whole 8-byte words, so they take one
-    ``preadv`` into fresh arrays; a fused curve takes one ``pread`` per
-    hypothesis."""
-    tail = layout[-6:]
-    arrays = [np.empty(shape, dtype) for dtype, shape, _ in tail]
-    want = sum(a.nbytes for a in arrays)
-    got = os.preadv(fd, arrays, tail[0][2])
+# Measured pixels whose fused curves a window reports.
+_CURVE_PIXELS = 8
+
+
+def _check_read(got: int, want: int) -> None:
     if got != want:
         raise OSError(f"read {got} of {want} bytes of the window arena")
+
+
+def _read_arena(readv, layout) -> tuple[DepthMap, SweepSummary]:
+    """A window's depth map and summary, read into fresh arrays by
+    ``readv(views, offset)``, which reads the window's bytes as
+    ``os.preadv`` does, so that the parent never maps a pool's arena.  The
+    tallies and maps end the layout with no gap between them, as each but
+    the last is whole 8-byte words, so they take one read.  The summary
+    keeps the fused curves of up to ``_CURVE_PIXELS`` measured pixels,
+    spread evenly over them in row-major order, one read per hypothesis.
+    A short read raises ``OSError``."""
+    tail = layout[-6:]
+    arrays = [np.empty(shape, dtype) for dtype, shape, _ in tail]
+    _check_read(readv([memoryview(a).cast("B") for a in arrays], tail[0][2]),
+                sum(a.nbytes for a in arrays))
+    discarded, mass, depth, confidence, winner, flags = arrays
+    depth_map = DepthMap(depth=depth, confidence=confidence, flags=flags)
     dtype, (d, h, w), start = layout[0]
-    itemsize = np.dtype(dtype).itemsize
-
-    def curve(y, x):
-        offset = start + (y * w + x) * itemsize
-        return np.frombuffer(bytearray(b"".join(
-            os.pread(fd, itemsize, offset + j * h * w * itemsize)
-            for j in range(d))), dtype)
-
-    return _read_window(*arrays, curve)
+    size = np.dtype(dtype).itemsize
+    ys, xs = np.nonzero(depth_map.valid)
+    step = max(len(ys) // _CURVE_PIXELS, 1)
+    curves = {}
+    for y, x in zip(ys[::step][:_CURVE_PIXELS].tolist(),
+                    xs[::step][:_CURVE_PIXELS].tolist()):
+        curve = curves[y, x] = np.empty(d, dtype)
+        values = memoryview(curve).cast("B")
+        for j in range(d):
+            _check_read(readv([values[j * size:(j + 1) * size]],
+                              start + ((j * h + y) * w + x) * size), size)
+    return depth_map, SweepSummary(winner=winner, curves=curves,
+                                   discarded=discarded, mass=mass)
 
 
 def objective_sweep(window: EventWindow, intrinsics: CameraIntrinsics,
@@ -253,26 +265,6 @@ def objective_sweep(window: EventWindow, intrinsics: CameraIntrinsics,
         iwe = accumulate(warped, intrinsics.resolution, splat=splat)
         out[i] = objective(iwe, focus_cfg, warped=warped, offsets=off, splat=splat)
     return out
-
-
-# Measured pixels whose fused curves a window reports.
-_CURVE_PIXELS = 8
-
-
-def _read_window(discarded, mass, depth, confidence, winner, flags,
-                 curve) -> tuple[DepthMap, SweepSummary]:
-    """A window's depth map and summary, which keep the tallies and maps
-    given, with ``curve(y, x)``, a fresh copy of the fused curve at (y, x),
-    for up to ``_CURVE_PIXELS`` measured pixels, spread evenly over them in
-    row-major order."""
-    depth_map = DepthMap(depth=depth, confidence=confidence, flags=flags)
-    ys, xs = np.nonzero(depth_map.valid)
-    step = max(len(ys) // _CURVE_PIXELS, 1)
-    curves = {(int(y), int(x)): curve(y, x)
-              for y, x in zip(ys[::step][:_CURVE_PIXELS],
-                              xs[::step][:_CURVE_PIXELS])}
-    return depth_map, SweepSummary(winner=winner, curves=curves,
-                                   discarded=discarded, mass=mass)
 
 
 def fill_depth(depth_map: DepthMap, policy: str = "none") -> DepthMap:
@@ -315,12 +307,12 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
     """sweep -> per-scale trend filter -> multi-scale fusion -> extraction
     -> fill, with no (D, H, W) volume returned.
 
-    With N workers, one pool dispatch runs N tasks: each sweeps a share of
-    the hypotheses into the shared arena, waits until all have, and then
-    aggregates one band of rows in place.  With one worker the same two
-    steps run in-process over all hypotheses, then all rows, and the
-    outputs are bitwise the same whatever the worker count.  The pool is
-    forked at the first window unless ``start_pool`` forked it earlier.
+    One task per worker sweeps a share of the hypotheses into the window's
+    buffer and then, once every task has swept, aggregates one band of rows
+    in place; ``pool.run_window`` runs one task in-process and more on the
+    pool's shared arena, and the outputs are bitwise the same whatever the
+    worker count.  The pool is forked at the first window unless
+    ``start_pool`` forked it earlier.
     """
     check_scales(sweep.num_scales, intrinsics)
     _scale_weights(agg.scale_weights, sweep.num_scales)   # before any sweep
@@ -328,21 +320,12 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
     d = len(depths)
     h = intrinsics.height
     layout, nbytes = _window_layout(d, intrinsics.resolution, sweep.num_scales)
-    if sweep.workers == 1:
-        out = _window_arrays(layout)
-        _sweep_into(out, window, intrinsics, velocity, depths, 0, d, sweep)
-        _aggregate_band(out, 0, h, hypotheses.inverse, agg,
-                        sweep.focus.window_radius)
-        depth_map, summary = _read_window(
-            out.discarded, out.mass, out.depth, out.confidence, out.winner,
-            out.flags, lambda y, x: out.scores[0][:, y, x].copy())
-    else:
-        align = 2 ** (sweep.num_scales - 1)
-        bands = [(min(a * align, h), min(b * align, h))
-                 for a, b in _split(-(-h // align), sweep.workers)]
-        tasks = [partial(_pool_task, layout, window, intrinsics, velocity,
-                         depths, hyps, rows, sweep, agg)
-                 for hyps, rows in zip(_split(d, sweep.workers), bands)]
-        depth_map, summary = _run_in_pool(sweep.workers, nbytes, tasks,
-                                          partial(_read_arena, layout=layout))
+    align = 2 ** (sweep.num_scales - 1)
+    bands = [(min(a * align, h), min(b * align, h))
+             for a, b in _split(-(-h // align), sweep.workers)]
+    tasks = [partial(_sweep_task, layout, window, intrinsics, velocity,
+                     depths, hyps, rows, sweep, agg)
+             for hyps, rows in zip(_split(d, sweep.workers), bands)]
+    depth_map, summary = run_window(nbytes, tasks,
+                                    partial(_read_arena, layout=layout))
     return fill_depth(depth_map, agg.fill), summary

@@ -1,9 +1,9 @@
-"""A cached pool of forked workers that runs a window as one task per
-worker.  Each worker calls its task on the shared arena and a release
-callable to sweep, waits at a barrier until every worker has swept, and
-then calls the aggregate step that its task returned.  Tasks must pickle.
-A task calls release each time it has finished with the pages it has
-touched so far, so that a worker maps one step's pages at a time."""
+"""Runs a window as one task per worker.  A task, called on the window's
+buffer and a release callable, sweeps, calls release whenever it is done
+with the pages it has touched so far, and returns the step that
+aggregates, which runs once every task has swept.  One task runs
+in-process on a private buffer; more run, and must pickle, on a cached
+pool of forked workers that share a memfd arena and wait at a barrier."""
 from __future__ import annotations
 
 import ctypes
@@ -12,6 +12,8 @@ import multiprocessing as mp
 import os
 import threading
 from functools import partial
+
+import numpy as np
 
 # Each pool is forked with its own shared-memory arena, a memfd, and a
 # barrier over its workers, which the entry keeps alive with the pool.
@@ -22,11 +24,6 @@ _POOLS: dict[int, tuple] = {}      # workers -> (pool, arena fd, barrier)
 _POOL_LOCK = threading.Lock()
 _worker_arena: mmap.mmap | None = None
 _worker_barrier = None
-# How long a worker that has swept waits for the others.  It frees only the
-# waiting worker: a sweep that finishes this long after its peer's fails
-# the window, and a sweep that never returns holds the window until the job
-# is killed.  So it is far above any sweep's spread.
-_BARRIER_TIMEOUT_S = 600.0
 # A window whose arrays take at least this many bytes has each worker drop
 # its mapping of them whenever its task releases them.  Below it the pages
 # saved are few (0.1 MiB per worker for a 64x64 sensor at 32 hypotheses)
@@ -66,12 +63,11 @@ def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
         arena.madvise(mmap.MADV_DONTNEED)
 
 
-def _window_task(task) -> bool:
+def _window_task(task) -> None:
     """Worker side: sweep by calling the task on the inherited arena and a
     release of its mapping; then, once every worker has swept, call the
-    aggregate step it returned.  Returns False if another worker failed to
-    reach the barrier; a worker that fails first breaks it, so none waits
-    for it."""
+    aggregate step it returned.  A worker whose sweep fails breaks the
+    barrier, so none waits for it, and only its error reaches the parent."""
     sweep, nbytes = task
     release = partial(_drop_mapping, _worker_arena, nbytes)
     try:
@@ -80,11 +76,10 @@ def _window_task(task) -> bool:
         _worker_barrier.abort()
         raise
     try:
-        _worker_barrier.wait(_BARRIER_TIMEOUT_S)
+        _worker_barrier.wait()
     except threading.BrokenBarrierError:
-        return False
+        return
     aggregate()
-    return True
 
 
 def _get_pool(workers: int, nbytes: int):
@@ -126,11 +121,30 @@ def _close_pool(pool, fd, _barrier) -> None:
         os.close(fd)
 
 
-def _run_in_pool(workers: int, nbytes: int, tasks, read):
-    """Run one window of ``nbytes`` on the cached pool, one of ``tasks`` per
-    worker, and return ``read(fd)`` of the arena.  A failed run, or one
-    during which a worker dies, closes the pool, so the next call forks a
-    fresh pool and barrier."""
+def _read_buffer(buffer: memoryview, views, offset: int) -> int:
+    """``os.preadv`` from ``buffer`` in place of a file: fill the byte
+    memoryviews ``views`` in turn from byte ``offset`` on, and return the
+    bytes copied."""
+    got = 0
+    for view in views:
+        chunk = buffer[offset + got:offset + got + len(view)]
+        view[:len(chunk)] = chunk
+        got += len(chunk)
+    return got
+
+
+def run_window(nbytes: int, tasks, read):
+    """Run one window of ``nbytes``, one of ``tasks`` per worker: one task
+    in-process, more on the cached pool.  Returns ``read(readv)``, where
+    ``readv(views, offset)`` fills byte memoryviews from the window's bytes
+    as ``os.preadv`` does.  A failed pool run, or one during which a worker
+    dies, closes the pool, so the next call forks a fresh pool and barrier."""
+    if len(tasks) == 1:
+        # releasing private memory would zero it, so release does nothing
+        buffer = memoryview(np.empty(nbytes, np.uint8))
+        tasks[0](buffer, lambda: None)()
+        return read(partial(_read_buffer, buffer))
+    workers = len(tasks)
     with _POOL_LOCK:
         pool, fd, _ = _get_pool(workers, nbytes)
         try:
@@ -146,13 +160,11 @@ def _run_in_pool(workers: int, nbytes: int, tasks, read):
                     raise ChildProcessError(
                         f"pool worker {dead[0].pid} exited with code "
                         f"{dead[0].exitcode} during a window")
-            if not all(result.get()):
-                raise TimeoutError("a sweep worker did not reach the barrier "
-                                   f"within {_BARRIER_TIMEOUT_S:g} s")
+            result.get()
         except BaseException:
             _close_pool(*_POOLS.pop(workers))
             raise
-        return read(fd)
+        return read(partial(os.preadv, fd))
 
 
 def shutdown_pools() -> None:

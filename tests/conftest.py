@@ -10,11 +10,11 @@ def _sweep_window(window, intrinsics, velocity, hypotheses, config):
     hypothesis, run in this process and not yet aggregated: per-scale score
     volumes ``scores``, then ``iwe``, ``discarded`` and ``mass``."""
     d = len(hypotheses)
-    layout, _ = costvol._window_layout(d, intrinsics.resolution,
-                                       config.num_scales)
-    out = costvol._window_arrays(layout)
+    layout, nbytes = costvol._window_layout(d, intrinsics.resolution,
+                                            config.num_scales)
+    out = costvol._window_arrays(layout, bytearray(nbytes))
     costvol._sweep_into(out, window, intrinsics, velocity, hypotheses.depths,
-                        0, d, config)
+                        0, d, config, lambda: None)
     return out
 
 

@@ -70,18 +70,23 @@ def fuse(levels, scale_weights=None):
     return fused
 
 
+def keep():
+    """The release of a window's buffer in this process, which keeps it."""
+
+
 def read_out(curves, iwe, min_support=0.5):
     """The band readout of one-scale ``curves`` over ``HYP5``, with no trend
     filtering, ``iwe`` broadcast to the (D, H, W) IWE volume and a support
     window of side 1, so that a pixel's support is its winner's IWE."""
     scores = volume_from_curves(curves)
     d, h, w = scores.shape
-    layout, _ = costvol._window_layout(d, (w, h), 1)
-    out = costvol._window_arrays(layout)
+    layout, nbytes = costvol._window_layout(d, (w, h), 1)
+    out = costvol._window_arrays(layout, bytearray(nbytes))
     out.scores[0][:] = scores
     out.iwe[:] = iwe
     aggregate._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
-        trend_iterations=0, peak_alpha=0.0, min_support=min_support), 1)
+        trend_iterations=0, peak_alpha=0.0, min_support=min_support), 1,
+        keep)
     return DepthMap(depth=out.depth, confidence=out.confidence,
                     flags=out.flags)
 
@@ -484,6 +489,32 @@ class TestBuildVolume:
         finally:
             shutdown_pools()
         assert same_estimate(r1, r2)
+
+    def test_one_worker_needs_no_memfd_or_fork(self, monkeypatch):
+        # one worker runs its one task and the arena reader in this process,
+        # so it runs where there is no memfd or fork, forks no pool, and
+        # gives the 2-worker result
+        intr = CameraIntrinsics(f=50.0, cu=6.5, cv=5.5, width=13, height=11)
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 9)
+        window = sensor_window(intr, seed=1)
+        sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=3),
+                            workers=2)
+        try:
+            want = estimate_depth(window, intr, vel, hyp, sweep)
+        finally:
+            shutdown_pools()
+
+        def unavailable(*args, **kwargs):
+            raise OSError("not available")
+
+        monkeypatch.setattr(os, "memfd_create", unavailable, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", unavailable)
+        got = estimate_depth(window, intr, vel, hyp, replace(sweep, workers=1))
+        assert same_estimate(got, want)
+        assert len(got[1].curves) == 8
+        assert not pool._POOLS
 
     def test_arena_regrowth_keeps_results(self):
         # a larger sensor replaces the pool's arena; a smaller one reuses it
@@ -932,6 +963,60 @@ def assert_failed_window_closes_the_pool(monkeypatch, kill, error, message):
     assert np.array_equal(got[1].winner, want[1].winner)
 
 
+class TestReadArena:
+    """The one reader of a window's tallies, maps and sampled curves, which
+    both runners hand a ``readv`` of the window's bytes."""
+    INTR = CameraIntrinsics(f=50.0, cu=6.5, cv=5.5, width=13, height=11)
+    HYP = inverse_depth_hypotheses(2.0, 10.0, 9)
+
+    def test_buffer_reads_as_preadv_reads_a_file(self, tmp_path):
+        data = bytes(range(16))
+        path = tmp_path / "arena"
+        path.write_bytes(data)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for offset in (0, 5, 12, 16, 20):
+                views = [[memoryview(bytearray(n)) for n in (4, 6)]
+                         for _ in range(2)]
+                assert (pool._read_buffer(memoryview(data), views[0], offset)
+                        == os.preadv(fd, views[1], offset))
+                assert views[0] == views[1]
+        finally:
+            os.close(fd)
+
+    # a read one byte short, of the tallies and maps or of a curve's first
+    # value, in this process (1 worker) or from the pool's arena (2)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("short", ["maps", "curve"])
+    def test_short_read_fails_the_window(self, monkeypatch, workers, short):
+        layout, _ = costvol._window_layout(len(self.HYP),
+                                           self.INTR.resolution, 3)
+        maps = layout[-6][2]
+        want = (sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
+                    for dtype, shape, _ in layout[-6:])
+                if short == "maps" else 8)
+        target, name = (pool, "_read_buffer") if workers == 1 else (os,
+                                                                   "preadv")
+        read = getattr(target, name)
+
+        def short_read(source, arrays, offset):
+            got = read(source, arrays, offset)
+            return got - 1 if (offset == maps) == (short == "maps") else got
+
+        monkeypatch.setattr(target, name, short_read)
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=3),
+                            workers=workers)
+        try:
+            with pytest.raises(OSError, match=f"^read {want - 1} of {want} "
+                               "bytes of the window arena$"):
+                estimate_depth(sensor_window(self.INTR, seed=1), self.INTR,
+                               vel, self.HYP, sweep)
+        finally:
+            shutdown_pools()
+
+
 @pytest.mark.parametrize("side", [1, 3, 5, 15])
 def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
     # a 13x11 sensor in bands of 4 rows: the windows reach across band
@@ -967,7 +1052,8 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
 
     # at the pipeline's own winners, support decides the flags
     aggregate._aggregate_band(out, 0, h, hyp.inverse,
-                              AggregationConfig(min_support=0.3), side)
+                              AggregationConfig(min_support=0.3), side,
+                              keep)
     support = at(box, out.winner)
     if side < 15:
         assert 0 < (support >= 0.3).sum() < h * w
@@ -1014,5 +1100,6 @@ def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
                                                 agg.peak_alpha)
                             for s in out.scores], agg.scale_weights)
         for r0, r1 in bands:
-            aggregate._aggregate_band(out, r0, r1, hyp.inverse, agg, 3)
+            aggregate._aggregate_band(out, r0, r1, hyp.inverse, agg, 3,
+                                      keep)
         assert out.scores[0].tobytes() == want.tobytes()
