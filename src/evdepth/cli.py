@@ -363,7 +363,7 @@ def cmd_depth(args) -> int:
             "n_events": len(window.events),
             "n_valid_pixels": int(depth_map.valid.sum()),
             "discarded": [int(x) for x in summary.discarded],
-            "iwe_mass": [round(float(m), 6) for m in summary.mass],
+            "iwe_mass": [float(len(window) - n) for n in summary.discarded],
             "hypotheses": [round(float(d), 6) for d in hyp.depths],
             "score_curves": {f"{y},{x}": [round(float(s), 6) for s in curve]
                              for (y, x), curve in summary.curves.items()},

@@ -76,7 +76,6 @@ class SweepSummary:
     winner: np.ndarray              # (H, W) int64 fused winning hypothesis
     curves: dict                    # (y, x) -> (D,) fused curve, <= 8 pixels
     discarded: np.ndarray           # (D,) out-of-bounds tally per hypothesis
-    mass: np.ndarray                # (D,) in-bounds event mass per hypothesis
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class _WindowArrays:
     scores: list              # per-scale (D, Hk, Wk) float64 score volumes
     iwe: np.ndarray           # (D, H, W) float32 IWE grids
     discarded: np.ndarray     # (D,) int64
-    mass: np.ndarray          # (D,) float64
     depth: np.ndarray         # (H, W) float64
     confidence: np.ndarray    # (H, W) float64
     winner: np.ndarray        # (H, W) int64
@@ -156,9 +154,8 @@ def _window_layout(d, resolution, num_scales):
     w, h = resolution
     specs = [(np.float64, (d, -(-h // 2 ** k), -(-w // 2 ** k)))
              for k in range(num_scales)]
-    specs += [(np.float32, (d, h, w)), (np.int64, (d,)), (np.float64, (d,)),
-              (np.float64, (h, w)), (np.float64, (h, w)), (np.int64, (h, w)),
-              (np.uint8, (h, w))]
+    specs += [(np.float32, (d, h, w)), (np.int64, (d,)), (np.float64, (h, w)),
+              (np.float64, (h, w)), (np.int64, (h, w)), (np.uint8, (h, w))]
     layout, offset = [], 0
     for dtype, shape in specs:
         layout.append((dtype, shape, offset))
@@ -172,14 +169,14 @@ def _window_arrays(layout, buffer) -> _WindowArrays:
     arrays = [np.frombuffer(buffer, dtype, int(np.prod(shape)), offset
                             ).reshape(shape)
               for dtype, shape, offset in layout]
-    n = len(arrays) - 7
+    n = len(arrays) - 6
     return _WindowArrays(arrays[:n], *arrays[n:])
 
 
 def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config,
                 release):
     """Score hypotheses ``lo..hi-1`` into the window arrays ``out``: the
-    per-scale score volumes, then the IWE, discarded and mass.  Calls
+    per-scale score volumes, then the IWE and discarded tally.  Calls
     ``release`` once each hypothesis's arrays are written."""
     warp = EventWarp(window, intrinsics, velocity)
     for j in range(lo, hi):
@@ -190,7 +187,6 @@ def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config,
             volume_score_map(grid, config.focus, out=out.scores[k][j])
         out.iwe[j] = iwe.grid
         out.discarded[j] = iwe.discarded
-        out.mass[j] = iwe.mass
         release()
 
 
@@ -226,16 +222,16 @@ def _read_arena(readv, layout) -> tuple[DepthMap, SweepSummary]:
     """A window's depth map and summary, read into fresh arrays by
     ``readv(views, offset)``, which reads the window's bytes as
     ``os.preadv`` does, so that the parent never maps a pool's arena.  The
-    tallies and maps end the layout with no gap between them, as each but
-    the last is whole 8-byte words, so they take one read.  The summary
-    keeps the fused curves of up to ``_CURVE_PIXELS`` measured pixels,
-    spread evenly over them in row-major order, one read per hypothesis.
-    A short read raises ``OSError``."""
-    tail = layout[-6:]
+    discarded tally and the maps end the layout with no gap between them,
+    as each but the last is whole 8-byte words, so they take one read.  The
+    summary keeps the fused curves of up to ``_CURVE_PIXELS`` measured
+    pixels, spread evenly over them in row-major order, one read per
+    hypothesis.  A short read raises ``OSError``."""
+    tail = layout[-5:]
     arrays = [np.empty(shape, dtype) for dtype, shape, _ in tail]
     _check_read(readv([memoryview(a).cast("B") for a in arrays], tail[0][2]),
                 sum(a.nbytes for a in arrays))
-    discarded, mass, depth, confidence, winner, flags = arrays
+    discarded, depth, confidence, winner, flags = arrays
     depth_map = DepthMap(depth=depth, confidence=confidence, flags=flags)
     dtype, (d, h, w), start = layout[0]
     size = np.dtype(dtype).itemsize
@@ -250,7 +246,7 @@ def _read_arena(readv, layout) -> tuple[DepthMap, SweepSummary]:
             _check_read(readv([values[j * size:(j + 1) * size]],
                               start + ((j * h + y) * w + x) * size), size)
     return depth_map, SweepSummary(winner=winner, curves=curves,
-                                   discarded=discarded, mass=mass)
+                                   discarded=discarded)
 
 
 def objective_sweep(window: EventWindow, intrinsics: CameraIntrinsics,

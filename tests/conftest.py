@@ -8,7 +8,7 @@ from evdepth import costvol
 def _sweep_window(window, intrinsics, velocity, hypotheses, config):
     """The window's arrays after ``estimate_depth``'s sweep over every
     hypothesis, run in this process and not yet aggregated: per-scale score
-    volumes ``scores``, then ``iwe``, ``discarded`` and ``mass``."""
+    volumes ``scores``, then ``iwe`` and ``discarded``."""
     d = len(hypotheses)
     layout, nbytes = costvol._window_layout(d, intrinsics.resolution,
                                             config.num_scales)

@@ -174,6 +174,9 @@ class TestDepth:
         assert diag["n_events"] > 0
         assert len(diag["hypotheses"]) == 16
         assert len(diag["iwe_mass"]) == 16
+        # every kept event splats unit mass
+        assert diag["iwe_mass"] == [float(diag["n_events"] - n)
+                                    for n in diag["discarded"]]
         assert diag["score_curves"]
 
     def test_noise_runs_are_seed_deterministic(self, dataset, tmp_path):
@@ -336,6 +339,14 @@ class TestDepth:
     def test_bad_window_radius_is_config_error(self, dataset, tmp_path):
         rc = run_depth(dataset, tmp_path / "out", ["--window-radius", "4"])
         assert rc == 2
+
+    def test_missing_config_file_is_config_error(self, dataset, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "absent.json"
+        rc = run_depth(dataset, tmp_path / "out", ["--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: config file not found: {cfg}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_events_is_config_error(self, dataset, tmp_path):
         rc = main(["depth", "--events", str(tmp_path / "no.txt"),
@@ -687,6 +698,34 @@ def test_threads_is_not_a_flag_of_commands_without_a_sweep(command):
 
 
 class TestEval:
+    def test_truth_directory_pairs_by_name(self, dataset, tmp_path, capsys):
+        out = tmp_path / "depth"
+        assert run_depth(dataset, out) == 0
+        truth = dataset / "sim" / "truth.pfm"
+        truth_dir = tmp_path / "truth"
+        truth_dir.mkdir()
+        for pred in out.glob("depth_*.pfm"):
+            (truth_dir / pred.name).write_bytes(truth.read_bytes())
+        capsys.readouterr()
+        reports = {}
+        for name, arg in (("file", truth), ("dir", truth_dir)):
+            assert main(["eval", "--pred", str(out), "--truth", str(arg),
+                         "--out", str(tmp_path / name)]) == 0
+            reports[name] = (capsys.readouterr().out,
+                             (tmp_path / name / "report_aggregate.json"
+                              ).read_text())
+        assert reports["dir"] == reports["file"]
+        assert json.loads(reports["dir"][1])["n_eval"] > 0
+
+    def test_missing_truth_is_config_error(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        write_pfm(pred / "depth_0000.pfm", np.ones((2, 2)))
+        truth = tmp_path / "absent"
+        rc = main(["eval", "--pred", str(pred), "--truth", str(truth)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: truth not found: {truth}\n"
+
     def test_unmatched_truth_directory_is_config_error(self, dataset, tmp_path):
         pred = tmp_path / "pred"
         pred.mkdir()
@@ -776,6 +815,14 @@ class TestAblate:
         assert rows[0]["trials"] == 1      # the clean level needs no repeats
         assert rows[1]["trials"] == 2
         assert (out / "ablation.txt").read_text().count("\n") == 3
+
+    def test_zero_trials_is_config_error(self, dataset, tmp_path, capsys):
+        rc = main(["ablate", *inputs(dataset),
+                   "--truth", str(dataset / "sim" / "truth.pfm"),
+                   "--out", str(tmp_path / "out"), *FAST, "--trials", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --trials must be >= 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_noise_comes_from_levels_only(self, dataset, tmp_path):
         argv = ["ablate", *inputs(dataset),

@@ -114,6 +114,8 @@ class TestHypothesisSet:
         assert len(hyp) == 1
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="^need at least 1 depth hypothesis$"):
+            HypothesisSet(depths=[])
         with pytest.raises(ValueError):
             HypothesisSet(depths=np.array([3.0, 2.0]))
         with pytest.raises(ValueError):
@@ -399,7 +401,7 @@ def same_estimate(a, b):
     return (all(np.array_equal(getattr(map_a, name), getattr(map_b, name))
                 for name in ("depth", "confidence", "flags"))
             and all(np.array_equal(getattr(sum_a, name), getattr(sum_b, name))
-                    for name in ("winner", "discarded", "mass"))
+                    for name in ("winner", "discarded"))
             and list(sum_a.curves) == list(sum_b.curves)
             and all(np.array_equal(curve, sum_b.curves[pixel])
                     for pixel, curve in sum_a.curves.items()))
@@ -421,7 +423,7 @@ class TestBuildVolume:
         scores = out.scores[0]
         for j in range(1, 6):
             assert np.array_equal(scores[j], scores[0])
-        assert np.array_equal(out.mass, np.full(6, out.mass[0]))
+        assert np.array_equal(out.discarded, np.full(6, out.discarded[0]))
 
     def test_pure_rotation_confidence_is_one(self):
         vel = VelocitySample(t=0.0, linear=(0.0, 0.0, 0.0),
@@ -671,7 +673,6 @@ def assert_same_estimate(got, want):
         assert np.array_equal(getattr(dm, name), getattr(ref, name)), name
     assert np.array_equal(summary.winner, fused.argmax(axis=0))
     assert np.array_equal(summary.discarded, res.discarded)
-    assert np.array_equal(summary.mass, res.mass)
     # up to 8 measured pixels, spread evenly in row-major order
     ys, xs = np.nonzero(ref.valid)
     step = max(len(ys) // 8, 1)
@@ -964,8 +965,8 @@ def assert_failed_window_closes_the_pool(monkeypatch, kill, error, message):
 
 
 class TestReadArena:
-    """The one reader of a window's tallies, maps and sampled curves, which
-    both runners hand a ``readv`` of the window's bytes."""
+    """The one reader of a window's discarded tally, maps and sampled
+    curves, which both runners hand a ``readv`` of the window's bytes."""
     INTR = CameraIntrinsics(f=50.0, cu=6.5, cv=5.5, width=13, height=11)
     HYP = inverse_depth_hypotheses(2.0, 10.0, 9)
 
@@ -984,16 +985,16 @@ class TestReadArena:
         finally:
             os.close(fd)
 
-    # a read one byte short, of the tallies and maps or of a curve's first
+    # a read one byte short, of the tally and maps or of a curve's first
     # value, in this process (1 worker) or from the pool's arena (2)
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("short", ["maps", "curve"])
     def test_short_read_fails_the_window(self, monkeypatch, workers, short):
         layout, _ = costvol._window_layout(len(self.HYP),
                                            self.INTR.resolution, 3)
-        maps = layout[-6][2]
+        maps = layout[-5][2]
         want = (sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
-                    for dtype, shape, _ in layout[-6:])
+                    for dtype, shape, _ in layout[-5:])
                 if short == "maps" else 8)
         target, name = (pool, "_read_buffer") if workers == 1 else (os,
                                                                    "preadv")

@@ -87,6 +87,13 @@ class TestPgm:
             write_pgm(path, np.array([[0.0, value]]))
         assert not path.exists()
 
+    def test_rejects_non_2d(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match=r"^expected a 2-D image, got "
+                                             r"shape \(2, 2, 3\)$"):
+            write_pgm(path, np.zeros((2, 2, 3)))
+        assert not path.exists()
+
     def test_all_zero_image(self, tmp_path):
         path = tmp_path / "img.pgm"
         write_pgm(path, np.zeros((2, 2)))

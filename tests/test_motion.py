@@ -183,6 +183,10 @@ class TestInterpolateVelocity:
         with pytest.raises(ValueError):
             interpolate_velocity((), 0.0, 1.0)
 
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^bad interval: t_a=1.0 > t_b=0.5$"):
+            interpolate_velocity((vel(),), 1.0, 0.5)
+
     def test_point_query(self):
         track = (vel(linear=(0.0, 0.0, 0.0), t=0.0),
                  vel(linear=(2.0, 0.0, 0.0), t=1.0))
@@ -234,6 +238,10 @@ class TestAverageNorms:
         lin, ang = average_velocity_norms(track, 0.0, 1.0)
         np.testing.assert_allclose(lin, 5.0, rtol=1e-9)
         np.testing.assert_allclose(ang, 1.0, rtol=1e-9)
+
+    def test_empty_track_rejected(self):
+        with pytest.raises(ValueError, match="^velocity track is empty$"):
+            average_velocity_norms((), 0.0, 1.0)
 
 
 class TestIntrinsics:

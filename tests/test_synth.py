@@ -129,6 +129,22 @@ class TestGenerate:
         win, truth = make_window()
         assert trajectory_spread(win, truth, INTR, VEL, 10.0) <= 1e-6
 
+    @pytest.mark.parametrize("linear, angular", [
+        ((0.5, 0.0, 0.5), (0.0, 0.0, 0.0)), ((1.0, 0.0, 0.0), (0.0, 0.05, 0.0))],
+        ids=["forward", "yawing"])
+    def test_varying_flow_collapses_within_rounding(self, linear, angular):
+        # flow that changes along a trajectory makes the generator look the
+        # flow up again at each snapped pixel; the module promises a collapse
+        # within rounding of the off-axis coordinate (0.0 and 0.07 px here)
+        intr = CameraIntrinsics(f=50.0, cu=32.0, cv=32.0, width=64, height=64)
+        track = (VelocitySample(t=0.0, linear=linear, angular=angular),)
+        scene = SceneSpec(kind="plane", depths=(5.0,), edge_spacing=8)
+        win, truth = make_window(scene, seed=3,
+                                 rig=CameraRig(intrinsics=intr, track=track))
+        assert len(win.events) > 0
+        vel = interpolate_velocity(track, 0.0, 0.1)
+        assert trajectory_spread(win, truth, intr, vel, 5.0) < 0.5
+
     def test_warp_at_wrong_depth_smears(self):
         win, truth = make_window()
         assert trajectory_spread(win, truth, INTR, VEL, 5.0) > 1.0
