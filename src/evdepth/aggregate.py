@@ -3,29 +3,9 @@ trend-filtered at every pyramid scale, the scales are fused, and depth is
 read out by winner-take-all with sub-bin parabolic refinement in 1/d."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEPTH_SENTINEL = -1.0
-
-# DepthMap.flags values
-FLAG_INVALID = 0
-FLAG_MEASURED = 1
-FLAG_FILLED = 2
-
-
-@dataclass(frozen=True)
-class DepthMap:
-    depth: np.ndarray         # (H, W) meters, DEPTH_SENTINEL where not valid
-    confidence: np.ndarray    # (H, W) peak-to-mean score ratio
-    flags: np.ndarray         # (H, W) uint8: 0 invalid, 1 measured, 2 filled
-
-    @property
-    def valid(self) -> np.ndarray:
-        """(H, W) bool: the pixel had event support (its depth is measured)."""
-        return self.flags == FLAG_MEASURED
-
 
 # Aggregation works through a volume a block of hypothesis slices at a
 # time; a block of float64 slices takes at most this many bytes (or one
@@ -163,11 +143,12 @@ def _support_at(iwe, idx, r0, side) -> np.ndarray:
     return support
 
 
-def _readout(idx, peak, lo, hi, mean, support_at, inverse,
-             min_support) -> DepthMap:
-    """The depth map from each pixel's winning hypothesis ``idx``: its
-    score ``peak``, the scores ``lo`` and ``hi`` either side of it (clamped
-    at the ends), its curve's mean and the support at the winner."""
+def _readout(idx, peak, lo, hi, mean, support_at, inverse, min_support):
+    """The depth and confidence maps from each pixel's winning hypothesis
+    ``idx``: its score ``peak``, the scores ``lo`` and ``hi`` either side of
+    it (clamped at the ends), its curve's mean and the support at the
+    winner.  The depth is ``DEPTH_SENTINEL`` where the support is under
+    ``min_support``."""
     d = len(inverse)
     interior = (idx > 0) & (idx < d - 1)
     denom = lo - 2.0 * peak + hi
@@ -180,20 +161,19 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse,
     step_dn = q_at - inverse[np.maximum(idx - 1, 0)]
     q_refined = q_at + np.where(offset >= 0, offset * step_up, offset * step_dn)
 
-    valid = support_at >= min_support
     confidence = np.ones(idx.shape, dtype=np.float64)
     np.divide(peak, mean, out=confidence, where=mean > 0)
-    depth = np.where(valid, 1.0 / q_refined, DEPTH_SENTINEL)
-    flags = np.where(valid, FLAG_MEASURED, FLAG_INVALID).astype(np.uint8)
-    return DepthMap(depth=depth, confidence=confidence, flags=flags)
+    depth = np.where(support_at >= min_support, 1.0 / q_refined,
+                     DEPTH_SENTINEL)
+    return depth, confidence
 
 
 def _aggregate_band(out, r0: int, r1: int, inverse, agg, side: int,
                     release) -> None:
     """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
     ``costvol``'s swept window arrays ``out`` in place, under the
-    ``AggregationConfig`` ``agg``, and write their depth, confidence, flags
-    and winner.  ``r0`` is a multiple of 2**(scales-1), so every pyramid
+    ``AggregationConfig`` ``agg``, and write their depth, confidence and
+    winner.  ``r0`` is a multiple of 2**(scales-1), so every pyramid
     level's band is whole.  A pixel's support is the mass of its winner's
     IWE in the ``side`` x ``side`` window around it.
 
@@ -249,11 +229,8 @@ def _aggregate_rows(out, r0, r1, inverse, agg, side, weights,
               for j in (np.maximum(idx - 1, 0), np.minimum(idx + 1, d - 1)))
     release()
 
-    band_map = _readout(idx, best, lo, hi, total / d,
-                        _support_at(out.iwe, idx, r0, side), inverse,
-                        agg.min_support)
-    out.depth[r0:r1] = band_map.depth
-    out.confidence[r0:r1] = band_map.confidence
-    out.flags[r0:r1] = band_map.flags
+    out.depth[r0:r1], out.confidence[r0:r1] = _readout(
+        idx, best, lo, hi, total / d, _support_at(out.iwe, idx, r0, side),
+        inverse, agg.min_support)
     out.winner[r0:r1] = idx
     release()

@@ -346,8 +346,13 @@ def cmd_depth(args) -> int:
         t0 = time.perf_counter()
         vel = _window_velocity(rig, window, args.noise,
                                _noise_seed(args.seed, 0, i, 0))
-        depth_map, summary = estimate_depth(window, rig.intrinsics, vel, hyp,
-                                            sweep, agg)
+        try:
+            depth_map, summary = estimate_depth(window, rig.intrinsics, vel,
+                                                hyp, sweep, agg)
+        except MemoryError as exc:
+            raise MemoryError(f"window {i} on the {rig.intrinsics.width}x"
+                              f"{rig.intrinsics.height} sensor of camera "
+                              f"config {args.camera}: {exc}") from exc
         elapsed = time.perf_counter() - t0
         write_pfm(args.out / f"depth_{i:04d}.pfm", depth_map.depth)
         # one grey level per flag, so that masks of any run compare
@@ -367,7 +372,7 @@ def cmd_depth(args) -> int:
             "hypotheses": [round(float(d), 6) for d in hyp.depths],
             "score_curves": {f"{y},{x}": [round(float(s), 6) for s in curve]
                              for (y, x), curve in summary.curves.items()},
-            "timing_s": round(elapsed, 4),
+            "timing_s": elapsed,
             "workers": args.threads,
         }
         with open(args.out / f"diag_{i:04d}.json", "w") as fh:
@@ -501,7 +506,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,9 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .aggregate import (DEPTH_SENTINEL, FLAG_FILLED, FLAG_INVALID,
-                        FLAG_MEASURED, DepthMap, _aggregate_band,
-                        _scale_weights)
+from .aggregate import DEPTH_SENTINEL, _aggregate_band, _scale_weights
 from .events import EventWindow
 from .focus import VOLUME_KINDS, FocusConfig, objective, volume_score_map
 from .iwe import SPLATS, accumulate, build_pyramid
@@ -23,6 +21,23 @@ from .motion import CameraIntrinsics, EventWarp, VelocitySample
 from .pool import fork_pool, run_window, shutdown_pools
 
 FILL_POLICIES = ("none", "nearest-valid")
+
+# DepthMap.flags values
+FLAG_INVALID = 0
+FLAG_MEASURED = 1
+FLAG_FILLED = 2
+
+
+@dataclass(frozen=True)
+class DepthMap:
+    depth: np.ndarray         # (H, W) meters, DEPTH_SENTINEL where not valid
+    confidence: np.ndarray    # (H, W) peak-to-mean score ratio
+    flags: np.ndarray         # (H, W) uint8: 0 invalid, 1 measured, 2 filled
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(H, W) bool: the pixel had event support (its depth is measured)."""
+        return self.flags == FLAG_MEASURED
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,9 @@ class AggregationConfig:
         for name in ("peak_alpha", "min_support"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # above 1, suppression would replace a curve's own maximum
+        if not 0 <= self.peak_alpha <= 1:
+            raise ValueError(f"peak_alpha must be in [0, 1], got {self.peak_alpha}")
         if self.fill not in FILL_POLICIES:
             raise ValueError(f"unknown fill policy {self.fill!r}; choose one "
                              f"of {', '.join(FILL_POLICIES)}")
@@ -144,7 +162,6 @@ class _WindowArrays:
     depth: np.ndarray         # (H, W) float64
     confidence: np.ndarray    # (H, W) float64
     winner: np.ndarray        # (H, W) int64
-    flags: np.ndarray         # (H, W) uint8
 
 
 def _window_layout(d, resolution, num_scales):
@@ -155,7 +172,7 @@ def _window_layout(d, resolution, num_scales):
     specs = [(np.float64, (d, -(-h // 2 ** k), -(-w // 2 ** k)))
              for k in range(num_scales)]
     specs += [(np.float32, (d, h, w)), (np.int64, (d,)), (np.float64, (h, w)),
-              (np.float64, (h, w)), (np.int64, (h, w)), (np.uint8, (h, w))]
+              (np.float64, (h, w)), (np.int64, (h, w))]
     layout, offset = [], 0
     for dtype, shape in specs:
         layout.append((dtype, shape, offset))
@@ -169,7 +186,7 @@ def _window_arrays(layout, buffer) -> _WindowArrays:
     arrays = [np.frombuffer(buffer, dtype, int(np.prod(shape)), offset
                             ).reshape(shape)
               for dtype, shape, offset in layout]
-    n = len(arrays) - 6
+    n = len(arrays) - 5
     return _WindowArrays(arrays[:n], *arrays[n:])
 
 
@@ -223,15 +240,19 @@ def _read_arena(readv, layout) -> tuple[DepthMap, SweepSummary]:
     ``readv(views, offset)``, which reads the window's bytes as
     ``os.preadv`` does, so that the parent never maps a pool's arena.  The
     discarded tally and the maps end the layout with no gap between them,
-    as each but the last is whole 8-byte words, so they take one read.  The
-    summary keeps the fused curves of up to ``_CURVE_PIXELS`` measured
-    pixels, spread evenly over them in row-major order, one read per
-    hypothesis.  A short read raises ``OSError``."""
-    tail = layout[-5:]
+    as they are whole 8-byte words, so they take one read.  A pixel is
+    invalid where its depth is ``DEPTH_SENTINEL``, which no measured depth
+    is, and measured elsewhere.  The summary keeps the fused curves of up
+    to ``_CURVE_PIXELS`` measured pixels, spread evenly over them in
+    row-major order, one read per hypothesis.  A short read raises
+    ``OSError``."""
+    tail = layout[-4:]
     arrays = [np.empty(shape, dtype) for dtype, shape, _ in tail]
     _check_read(readv([memoryview(a).cast("B") for a in arrays], tail[0][2]),
                 sum(a.nbytes for a in arrays))
-    discarded, depth, confidence, winner, flags = arrays
+    discarded, depth, confidence, winner = arrays
+    flags = np.where(depth == DEPTH_SENTINEL, FLAG_INVALID,
+                     FLAG_MEASURED).astype(np.uint8)
     depth_map = DepthMap(depth=depth, confidence=confidence, flags=flags)
     dtype, (d, h, w), start = layout[0]
     size = np.dtype(dtype).itemsize

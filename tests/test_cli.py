@@ -1,6 +1,7 @@
 """End-to-end command-line runs: simulate -> depth -> eval, plus the
 manifest replay and failure exit codes."""
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -179,6 +180,39 @@ class TestDepth:
                                     for n in diag["discarded"]]
         assert diag["score_curves"]
 
+    def test_timing_keeps_every_digit(self, dataset, tmp_path, monkeypatch):
+        # each window's time is written as measured, not rounded
+        clock = itertools.cycle([2.0, 2.0123456789012345])
+        monkeypatch.setattr("evdepth.cli.time.perf_counter",
+                            lambda: next(clock))
+        out = tmp_path / "depth"
+        assert run_depth(dataset, out) == 0
+        elapsed = 2.0123456789012345 - 2.0
+        assert round(elapsed, 4) != elapsed
+        diags = sorted(out.glob("diag_*.json"))
+        assert diags
+        for diag in diags:
+            assert json.loads(diag.read_text())["timing_s"] == elapsed
+
+    def test_sensor_too_large_to_allocate_names_the_camera(self, dataset,
+                                                           tmp_path, capsys):
+        # one worker allocates the window's 6.39 PiB buffer in-process, which
+        # fails at once and touches no memory
+        camera = tmp_path / "huge_camera.json"
+        save_camera(camera, CameraIntrinsics(f=200.0, cu=32.0, cv=32.0,
+                                             width=10_000_000,
+                                             height=10_000_000))
+        rc = main(["depth", "--events", str(dataset / "sim" / "events.txt"),
+                   "--camera", str(camera),
+                   "--track", str(dataset / "track.txt"),
+                   "--out", str(tmp_path / "out"), *FAST,
+                   "--num-hypotheses", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window 0 on the 10000000x10000000 "
+                              f"sensor of camera config {camera}: ")
+        assert err.count("\n") == 1
+
     def test_noise_runs_are_seed_deterministic(self, dataset, tmp_path):
         a = tmp_path / "noise_a"
         b = tmp_path / "noise_b"
@@ -348,6 +382,17 @@ class TestDepth:
         assert capsys.readouterr().err == f"error: config file not found: {cfg}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1"])
+    def test_peak_alpha_out_of_range_in_config_names_the_flag(
+            self, dataset, tmp_path, capsys, alpha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"peak_alpha": {alpha}}}')
+        rc = run_depth(dataset, tmp_path / "out", ["--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --peak-alpha must be in [0, 1], got {alpha}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_events_is_config_error(self, dataset, tmp_path):
         rc = main(["depth", "--events", str(tmp_path / "no.txt"),
                    "--camera", str(dataset / "camera.json"),
@@ -503,6 +548,8 @@ RANGE_ERRORS = [
      "finite, got (nan, 0.0, 1.0, 0.0, 0.0, 0.0)"),
     ("--scale-weights", "nan", "finite and non-negative with positive sum"),
     ("--peak-alpha", "nan", "finite, got nan"),
+    ("--peak-alpha", "1.5", "in [0, 1], got 1.5"),
+    ("--peak-alpha", "-0.1", "in [0, 1], got -0.1"),
     ("--min-support", "nan", "finite, got nan"),
     ("--noise", "nan", "finite and >= 0, got nan"),
     ("--noise", "inf", "finite and >= 0, got inf")]

@@ -87,8 +87,9 @@ def read_out(curves, iwe, min_support=0.5):
     aggregate._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
         trend_iterations=0, peak_alpha=0.0, min_support=min_support), 1,
         keep)
-    return DepthMap(depth=out.depth, confidence=out.confidence,
-                    flags=out.flags)
+    flags = np.where(out.depth == DEPTH_SENTINEL, FLAG_INVALID,
+                     FLAG_MEASURED).astype(np.uint8)
+    return DepthMap(depth=out.depth, confidence=out.confidence, flags=flags)
 
 
 class TestHypothesisSet:
@@ -615,6 +616,12 @@ class TestBuildVolume:
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"^{name} must be finite"):
                     AggregationConfig(**{name: value})
+        for alpha in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"peak_alpha must be in [0, 1], got {alpha}")):
+                AggregationConfig(peak_alpha=alpha)
+        for alpha in (0.0, 1.0):
+            AggregationConfig(peak_alpha=alpha)
         for kind in ("sti", "sosa"):
             with pytest.raises(ValueError, match="no per-pixel score map"):
                 SweepConfig(focus=FocusConfig(kind=kind))
@@ -659,11 +666,16 @@ def reference_estimate(window, intr, vel, hyp, sweep, agg, sweep_window):
     def at(j):
         return np.take_along_axis(fused, j[None], axis=0)[0]
 
-    dm = aggregate._readout(
+    support = np.take_along_axis(
+        support_volume(out.iwe, sweep.focus.window_radius), idx[None],
+        axis=0)[0]
+    depth, confidence = aggregate._readout(
         idx, at(idx), at(np.maximum(idx - 1, 0)), at(np.minimum(idx + 1, d - 1)),
-        fused.mean(axis=0),
-        np.take_along_axis(support_volume(out.iwe, sweep.focus.window_radius),
-                           idx[None], axis=0)[0], hyp.inverse, agg.min_support)
+        fused.mean(axis=0), support, hyp.inverse, agg.min_support)
+    # the flags from the support, not from the depth's sentinel
+    flags = np.where(support >= agg.min_support, FLAG_MEASURED,
+                     FLAG_INVALID).astype(np.uint8)
+    dm = DepthMap(depth=depth, confidence=confidence, flags=flags)
     return fill_depth(dm, agg.fill), fused, out
 
 
@@ -992,9 +1004,9 @@ class TestReadArena:
     def test_short_read_fails_the_window(self, monkeypatch, workers, short):
         layout, _ = costvol._window_layout(len(self.HYP),
                                            self.INTR.resolution, 3)
-        maps = layout[-5][2]
+        maps = layout[-4][2]
         want = (sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
-                    for dtype, shape, _ in layout[-5:])
+                    for dtype, shape, _ in layout[-4:])
                 if short == "maps" else 8)
         target, name = (pool, "_read_buffer") if workers == 1 else (os,
                                                                    "preadv")
@@ -1059,7 +1071,7 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
     if side < 15:
         assert 0 < (support >= 0.3).sum() < h * w
     assert not np.isclose(support, 0.3, rtol=1e-6).any()
-    assert np.array_equal(out.flags == FLAG_MEASURED, support >= 0.3)
+    assert np.array_equal(out.depth != DEPTH_SENTINEL, support >= 0.3)
 
 
 # a 13x11 sensor at 3 scales and 9 hypotheses: a 4-row group of its score

@@ -1,5 +1,6 @@
-"""Module boundaries, read from the source: IHCA is pure NumPy, the pool
-knows nothing of depth, and the pipeline leaves processes to the pool."""
+"""Module boundaries, read from the source: IHCA is pure NumPy and sets no
+pixel flag, the pool knows nothing of depth, and the pipeline leaves
+processes to the pool."""
 
 import ast
 from pathlib import Path
@@ -20,8 +21,13 @@ def imported(module: str) -> set[str]:
 
 
 def test_aggregate_imports_only_numpy():
-    # dataclasses builds DepthMap, which the readout returns
-    assert imported("aggregate") <= {"__future__", "dataclasses", "numpy"}
+    assert imported("aggregate") <= {"__future__", "numpy"}
+
+
+def test_only_the_parent_sets_flags():
+    # IHCA writes depth with its sentinel, and costvol derives every flag
+    source = (SRC / "aggregate.py").read_text()
+    assert "DepthMap" not in source and "FLAG_" not in source
 
 
 def test_pool_imports_nothing_from_evdepth():
