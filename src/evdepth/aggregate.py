@@ -77,17 +77,6 @@ def _trend_filter_inplace(s: np.ndarray, iterations: int, peak_alpha: float,
     return peak
 
 
-def _scale_weights(scale_weights, count: int) -> np.ndarray:
-    """The fusion weights of ``count`` scales; None weighs them equally.
-    ``AggregationConfig`` has checked their values."""
-    if scale_weights is None:
-        scale_weights = (1.0,) * count
-    weights = np.asarray(scale_weights, dtype=np.float64)
-    if len(weights) != count:
-        raise ValueError(f"{len(weights)} scale weights for {count} scales")
-    return weights
-
-
 def _divisor(peak: np.ndarray) -> np.ndarray:
     """The normaliser of each curve in fusion: its peak where positive,
     else inf, so that a finite curve with no positive peak adds zero."""
@@ -168,14 +157,15 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse, min_support):
     return depth, confidence
 
 
-def _aggregate_band(out, r0: int, r1: int, inverse, agg, side: int,
-                    release) -> None:
+def _aggregate_band(out, r0: int, r1: int, inverse, agg, weights,
+                    side: int, release) -> None:
     """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
     ``costvol``'s swept window arrays ``out`` in place, under the
-    ``AggregationConfig`` ``agg``, and write their depth, confidence and
-    winner.  ``r0`` is a multiple of 2**(scales-1), so every pyramid
-    level's band is whole.  A pixel's support is the mass of its winner's
-    IWE in the ``side`` x ``side`` window around it.
+    ``AggregationConfig`` ``agg`` and the float64 fusion ``weights``, one
+    per scale, and write their depth, confidence and winner.  ``r0`` is a
+    multiple of 2**(scales-1), so every pyramid level's band is whole.  A
+    pixel's support is the mass of its winner's IWE in the ``side`` x
+    ``side`` window around it.
 
     The rows are aggregated a sub-band at a time (see ``_BAND_BYTES``).
     Every step reduces over hypotheses one pixel at a time, in the order
@@ -188,20 +178,18 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg, side: int,
     reads, once its score volumes are done with, and once its maps are
     written.
     """
-    weights = _scale_weights(agg.scale_weights, len(out.scores))
     group = 2 ** (len(out.scores) - 1)
     group_bytes = sum(len(s) * (group >> k) * s.shape[2] * s.itemsize
                       for k, s in enumerate(out.scores))
     rows = group * max(1, _BAND_BYTES // group_bytes)
     for a in range(r0, r1, rows):
-        _aggregate_rows(out, a, min(a + rows, r1), inverse, agg, side,
-                        weights, release)
+        _aggregate_rows(out, a, min(a + rows, r1), inverse, agg, weights,
+                        side, release)
 
 
-def _aggregate_rows(out, r0, r1, inverse, agg, side, weights,
+def _aggregate_rows(out, r0, r1, inverse, agg, weights, side,
                     release) -> None:
-    """``_aggregate_band`` of one sub-band, rows ``r0..r1-1``, under the
-    fusion ``weights``."""
+    """``_aggregate_band`` of one sub-band, rows ``r0..r1-1``."""
     d, _, w = out.iwe.shape
     h = r1 - r0
     levels, divisors = [], []

@@ -74,7 +74,7 @@ def _add_depth_flags(p):
     p.add_argument("--dmax", type=float, default=80.0)
     p.add_argument("--num-hypotheses", type=int, default=64)
     p.add_argument("--scales", type=int, default=sweep.num_scales)
-    p.add_argument("--scale-weights", type=_csv_floats, default=agg.scale_weights)
+    p.add_argument("--scale-weights", type=_csv_floats, default=sweep.scale_weights)
     p.add_argument("--trend-iters", type=int, default=agg.trend_iterations)
     p.add_argument("--peak-alpha", type=float, default=agg.peak_alpha)
     p.add_argument("--min-support", type=float, default=agg.min_support)
@@ -291,9 +291,7 @@ def _pipeline_configs(args):
 
     The configs check their own fields, and an error that starts with a
     field in ``_FIELD_FLAGS`` names its flag instead.  The checks made here
-    span flags or have no config field."""
-    if args.scale_weights is not None and len(args.scale_weights) != args.scales:
-        raise ConfigError(f"--scale-weights needs {args.scales} values")
+    have no config field."""
     if args.max_count < 1:
         raise ConfigError(f"--max-count must be >= 1, got {args.max_count}")
     if not args.max_interval > 0:
@@ -305,9 +303,9 @@ def _pipeline_configs(args):
                             window_radius=args.window_radius,
                             sosa_lambda=args.sosa_lambda)
         sweep = SweepConfig(focus=focus, num_scales=args.scales,
+                            scale_weights=args.scale_weights,
                             splat=args.splat, workers=args.threads)
-        agg = AggregationConfig(scale_weights=args.scale_weights,
-                                trend_iterations=args.trend_iters,
+        agg = AggregationConfig(trend_iterations=args.trend_iters,
                                 peak_alpha=args.peak_alpha,
                                 min_support=args.min_support,
                                 fill=args.fill)

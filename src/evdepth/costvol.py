@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .aggregate import DEPTH_SENTINEL, _aggregate_band, _scale_weights
+from .aggregate import DEPTH_SENTINEL, _aggregate_band
 from .events import EventWindow
 from .focus import VOLUME_KINDS, FocusConfig, objective, volume_score_map
 from .iwe import SPLATS, accumulate, build_pyramid
@@ -97,6 +97,7 @@ class SweepSummary:
 class SweepConfig:
     focus: FocusConfig = field(default_factory=FocusConfig)
     num_scales: int = 3
+    scale_weights: tuple[float, ...] | None = None   # None = equal
     splat: str = "bilinear"
     workers: int = 1
 
@@ -107,6 +108,14 @@ class SweepConfig:
                 f"depth estimation supports {', '.join(sorted(VOLUME_KINDS))}")
         if self.num_scales < 1:
             raise ValueError(f"num_scales must be >= 1, got {self.num_scales}")
+        if self.scale_weights is not None:
+            w = np.asarray(self.scale_weights, dtype=np.float64)
+            if len(w) != self.num_scales:
+                raise ValueError(f"scale_weights needs {self.num_scales} "
+                                 f"values, got {len(w)}")
+            if not ((w >= 0).all() and 0 < w.sum() < np.inf):    # NaN fails too
+                raise ValueError("scale_weights must be finite and non-negative "
+                                 "with positive sum")
         if self.splat not in SPLATS:
             raise ValueError(f"unknown splat mode {self.splat!r}; choose one "
                              f"of {', '.join(SPLATS)}")
@@ -116,18 +125,12 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class AggregationConfig:
-    scale_weights: tuple[float, ...] | None = None   # None = equal
     trend_iterations: int = 1
     peak_alpha: float = 0.7
     min_support: float = 0.5
     fill: str = "none"
 
     def __post_init__(self):
-        if self.scale_weights is not None:
-            w = np.asarray(self.scale_weights, dtype=np.float64)
-            if not ((w >= 0).all() and 0 < w.sum() < np.inf):    # NaN fails too
-                raise ValueError("scale_weights must be finite and non-negative "
-                                 "with positive sum")
         if self.trend_iterations < 0:
             raise ValueError(f"trend_iterations must be >= 0, "
                              f"got {self.trend_iterations}")
@@ -211,11 +214,14 @@ def _sweep_task(layout, window, intrinsics, velocity, depths, hyps, rows,
                 sweep, agg, buffer, release):
     """A ``run_window`` task: sweep the hypothesis range ``hyps`` into the
     window's arrays in ``buffer``, and return the step that aggregates band
-    ``rows``; both steps call ``release`` when done with the pages so far."""
+    ``rows`` under the sweep's scale weights, equal if None; both steps
+    call ``release`` when done with the pages so far."""
     out = _window_arrays(layout, buffer)
     _sweep_into(out, window, intrinsics, velocity, depths, *hyps, sweep,
                 release)
-    return partial(_aggregate_band, out, *rows, 1.0 / depths, agg,
+    weights = (np.ones(sweep.num_scales) if sweep.scale_weights is None
+               else np.asarray(sweep.scale_weights, dtype=np.float64))
+    return partial(_aggregate_band, out, *rows, 1.0 / depths, agg, weights,
                    sweep.focus.window_radius, release)
 
 
@@ -332,7 +338,6 @@ def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,
     ``start_pool`` forked it earlier.
     """
     check_scales(sweep.num_scales, intrinsics)
-    _scale_weights(agg.scale_weights, sweep.num_scales)   # before any sweep
     depths = hypotheses.depths
     d = len(depths)
     h = intrinsics.height

@@ -17,11 +17,13 @@ import numpy as np
 
 # Each pool is forked with its own shared-memory arena, a memfd, and a
 # barrier over its workers, which the entry keeps alive with the pool.
-# Workers map the arena, write a window into it and return nothing, so no
-# volume is pickled.  The parent never maps it: it reads the few arrays it
-# needs from the fd, so none of the volumes' pages count against it.
+# A worker maps the arena at its first window and keeps the mapping; it
+# writes each window into it and returns nothing, so no volume is pickled.
+# The parent never maps it: it reads the few arrays it needs from the fd,
+# so none of the volumes' pages count against it.
 _POOLS: dict[int, tuple] = {}      # workers -> (pool, arena fd, barrier)
 _POOL_LOCK = threading.Lock()
+_worker_fd: int | None = None
 _worker_arena: mmap.mmap | None = None
 _worker_barrier = None
 # A window whose arrays take at least this many bytes has each worker drop
@@ -44,10 +46,12 @@ _LIVENESS_S = 0.1
 
 
 def _attach(fd: int, barrier) -> None:
-    """Pool initializer: map the arena from the fd inherited at the fork,
-    and pin malloc's thresholds where libc has ``mallopt``."""
-    global _worker_arena, _worker_barrier
-    _worker_arena, _worker_barrier = mmap.mmap(fd, 0), barrier
+    """Pool initializer: keep the arena's fd, inherited at the fork, and
+    the barrier, and pin malloc's thresholds where libc has ``mallopt``.
+    Nothing here may fail: the pool would respawn a worker whose
+    initializer raises, and each would print its traceback."""
+    global _worker_fd, _worker_barrier
+    _worker_fd, _worker_barrier = fd, barrier
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
@@ -63,15 +67,28 @@ def _drop_mapping(arena: mmap.mmap, nbytes: int) -> None:
         arena.madvise(mmap.MADV_DONTNEED)
 
 
-def _window_task(task) -> None:
-    """Worker side: sweep by calling the task on the inherited arena and a
-    release of its mapping; then, once every worker has swept, call the
-    aggregate step it returned.  A worker whose sweep fails breaks the
-    barrier, so none waits for it, and only its error reaches the parent."""
-    sweep, nbytes = task
-    release = partial(_drop_mapping, _worker_arena, nbytes)
+def _map_arena(fd: int) -> mmap.mmap:
+    """Map the whole arena ``fd``; a failed map is a ``MemoryError``."""
     try:
-        aggregate = sweep(_worker_arena, release)
+        return mmap.mmap(fd, 0)
+    except OSError as exc:
+        raise MemoryError(f"cannot map the {os.fstat(fd).st_size}-byte "
+                          f"window arena: {exc}") from exc
+
+
+def _window_task(task) -> None:
+    """Worker side: sweep by calling the task on the arena, mapped at the
+    worker's first window, and a release of its mapping; then, once every
+    worker has swept, call the aggregate step it returned.  A worker whose
+    map or sweep fails breaks the barrier, so none waits for it, and only
+    its error reaches the parent."""
+    global _worker_arena
+    sweep, nbytes = task
+    try:
+        if _worker_arena is None:
+            _worker_arena = _map_arena(_worker_fd)
+        aggregate = sweep(_worker_arena,
+                          partial(_drop_mapping, _worker_arena, nbytes))
     except BaseException:
         _worker_barrier.abort()
         raise

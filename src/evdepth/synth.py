@@ -15,7 +15,7 @@ came from, so it can score any pipeline configuration against the truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -109,9 +109,14 @@ def load_scene(path) -> SceneSpec:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: a scene spec is a JSON object")
     raw.pop("contrast_threshold", None)      # older files carry it; unused
+    # named by repr, so that a key with a newline keeps the error one line
+    unknown = sorted(raw.keys() - {f.name for f in fields(SceneSpec)})
+    if unknown:
+        raise ValueError(f"{path}: unexpected scene keys "
+                         f"{', '.join(map(repr, unknown))}")
     try:
         return SceneSpec(**raw)
-    except (TypeError, OverflowError) as exc:   # bad keys, or values not numbers
+    except (TypeError, OverflowError) as exc:   # missing keys, or not numbers
         raise ValueError(f"{path}: {exc}") from exc
 
 

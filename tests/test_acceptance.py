@@ -58,7 +58,7 @@ TRUE_DEPTH = 10.0
 
 PLANE_SWEEP = SweepConfig(focus=FocusConfig(weights=GRAD_WEIGHTS),
                           num_scales=1)
-PLANE_AGG = AggregationConfig(scale_weights=(1.0,))
+PLANE_AGG = AggregationConfig()
 
 
 @pytest.fixture(scope="module")
@@ -187,10 +187,10 @@ def test_06_repetitive_texture_alias_suppressed_by_scales():
     focus = FocusConfig(weights=GRAD_WEIGHTS)
     single = oracle_depth_error(window, INTR, VEL, HYP, truth,
                                 SweepConfig(focus=focus, num_scales=1),
-                                AggregationConfig(scale_weights=(1.0,)))
+                                AggregationConfig())
     fused = oracle_depth_error(window, INTR, VEL, HYP, truth,
                                SweepConfig(focus=focus, num_scales=3),
-                               AggregationConfig(scale_weights=(1.0, 1.0, 1.0)))
+                               AggregationConfig())
     assert single.aliased_fraction >= 0.10
     reduction = 1.0 - fused.aliased_fraction / single.aliased_fraction
     assert reduction >= 0.80

@@ -6,6 +6,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -213,6 +215,30 @@ class TestDepth:
                               f"sensor of camera config {camera}: ")
         assert err.count("\n") == 1
 
+    def test_arena_too_large_to_map_names_the_camera(self, dataset, tmp_path):
+        # two workers cannot map the window's 6.39 PiB arena, a sparse memfd,
+        # which fails at once and touches no memory.  The run is a separate
+        # process, so that its workers' stderr is read too, and its pipes
+        # reach end of file only once no worker holds them.
+        camera = tmp_path / "huge_camera.json"
+        save_camera(camera, CameraIntrinsics(f=200.0, cu=32.0, cv=32.0,
+                                             width=10_000_000,
+                                             height=10_000_000))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "evdepth.cli", "depth",
+             "--events", str(dataset / "sim" / "events.txt"),
+             "--camera", str(camera), "--track", str(dataset / "track.txt"),
+             "--out", str(tmp_path / "out"), *FAST, "--num-hypotheses", "4",
+             "--threads", "2"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 1
+        assert run.stderr == (
+            "error: window 0 on the 10000000x10000000 sensor of camera config "
+            f"{camera}: cannot map the 7200000000000032-byte window arena: "
+            "[Errno 12] Cannot allocate memory\n")
+
     def test_noise_runs_are_seed_deterministic(self, dataset, tmp_path):
         a = tmp_path / "noise_a"
         b = tmp_path / "noise_b"
@@ -335,6 +361,23 @@ class TestDepth:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: --fcd-weights must hold a nonzero channel weight\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_float_list_is_config_error(self, dataset, tmp_path, capsys):
+        # the flag's type rejects the list, and so it does in a --config file
+        with pytest.raises(SystemExit) as exc:
+            run_depth(dataset, tmp_path / "out", ["--fcd-weights", "1,x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --fcd-weights: not a comma-separated float list: "
+            "'1,x'\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"fcd_weights": "1,x"}')
+        rc = run_depth(dataset, tmp_path / "out", ["--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg}: fcd_weights: not a comma-separated "
+            "float list: '1,x'\n")
         assert not (tmp_path / "out").exists()
 
     def test_scalar_only_objective_is_config_error(self, dataset, tmp_path):

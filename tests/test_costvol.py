@@ -57,9 +57,10 @@ def trend_curves(curves, iterations, peak_alpha):
 def fuse(levels, scale_weights=None):
     """Fuse the per-scale volumes ``levels``, level k at pyramid level k,
     with the fusion kernel in blocks of the pipeline's size, over a copy of
-    level 0."""
+    level 0, under the ``SweepConfig`` weights ``scale_weights``."""
     d, h, w = levels[0].shape
-    weights = aggregate._scale_weights(scale_weights, len(levels))
+    sweep = SweepConfig(num_scales=len(levels), scale_weights=scale_weights)
+    weights = np.asarray(sweep.scale_weights or (1.0,) * len(levels))
     divisors = [aggregate._divisor(level.max(axis=0)) for level in levels]
     fused = levels[0].copy()
     step = aggregate._block_slices((h, w))
@@ -85,8 +86,8 @@ def read_out(curves, iwe, min_support=0.5):
     out.scores[0][:] = scores
     out.iwe[:] = iwe
     aggregate._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
-        trend_iterations=0, peak_alpha=0.0, min_support=min_support), 1,
-        keep)
+        trend_iterations=0, peak_alpha=0.0, min_support=min_support),
+        np.ones(1), 1, keep)
     flags = np.where(out.depth == DEPTH_SENTINEL, FLAG_INVALID,
                      FLAG_MEASURED).astype(np.uint8)
     return DepthMap(depth=out.depth, confidence=out.confidence, flags=flags)
@@ -285,8 +286,8 @@ class TestMultiscaleFuse:
         assert out[:, 0, 0].max() == 1.0
 
     def test_weight_validation(self):
-        # AggregationConfig checks the values (test_config_validation)
-        with pytest.raises(ValueError, match="2 scale weights for 1 scales"):
+        # SweepConfig checks the values too (test_config_validation)
+        with pytest.raises(ValueError, match="^scale_weights needs 1 values, got 2$"):
             fuse([volume_from_curves([[(1.0,) * 5]])], scale_weights=(1.0, 1.0))
 
     def test_volume_k_must_be_pyramid_level_k(self):
@@ -432,9 +433,9 @@ class TestBuildVolume:
         hyp = inverse_depth_hypotheses(2.0, 10.0, 6)
         dm, summary = estimate_depth(
             tiny_window(), TINY_INTR, vel, hyp,
-            SweepConfig(num_scales=1, focus=FocusConfig(window_radius=3)),
-            AggregationConfig(scale_weights=(1.0,), trend_iterations=0,
-                              peak_alpha=0.0))
+            SweepConfig(num_scales=1, scale_weights=(1.0,),
+                        focus=FocusConfig(window_radius=3)),
+            AggregationConfig(trend_iterations=0, peak_alpha=0.0))
         assert summary.curves
         for curve in summary.curves.values():
             np.testing.assert_allclose(curve, curve[0], atol=1e-12)
@@ -627,8 +628,8 @@ class TestBuildVolume:
                 SweepConfig(focus=FocusConfig(kind=kind))
         for weights in [(0.0,), (-1.0, 2.0), (np.nan,), (np.inf, 1.0)]:
             with pytest.raises(ValueError, match="scale_weights must be"):
-                AggregationConfig(scale_weights=weights)
-        AggregationConfig(scale_weights=(0.0, 1.0))
+                SweepConfig(num_scales=len(weights), scale_weights=weights)
+        SweepConfig(num_scales=2, scale_weights=(0.0, 1.0))
         with pytest.raises(ValueError, match="unknown fill policy 'inpaint'"):
             AggregationConfig(fill="inpaint")
         for policy in FILL_POLICIES:
@@ -659,7 +660,7 @@ def reference_estimate(window, intr, vel, hyp, sweep, agg, sweep_window):
     out = sweep_window(window, intr, vel, hyp, sweep)
     fused = gather_fuse([padded_trend_filter(s, agg.trend_iterations,
                                              agg.peak_alpha)
-                         for s in out.scores], agg.scale_weights)
+                         for s in out.scores], sweep.scale_weights)
     d, h, w = fused.shape
     idx = fused.argmax(axis=0)
 
@@ -728,10 +729,11 @@ class TestEstimateDepthBands:
                                         height=h)
                 window = sensor_window(intr, seed=i, n=n)
                 hyp = inverse_depth_hypotheses(2.0, 10.0, d)
-                sweep = SweepConfig(num_scales=scales,
-                                    focus=FocusConfig(window_radius=3))
-                agg = AggregationConfig(
+                sweep = SweepConfig(
+                    num_scales=scales,
                     scale_weights=tuple(np.linspace(1.0, 0.5, scales)),
+                    focus=FocusConfig(window_radius=3))
+                agg = AggregationConfig(
                     trend_iterations=iters, peak_alpha=alpha, min_support=0.3,
                     fill="nearest-valid")
                 want = reference_estimate(window, intr, vel, hyp, sweep, agg,
@@ -830,6 +832,27 @@ class TestEstimateDepthBands:
         finally:
             shutdown_pools()
         assert open_fds() == before
+
+    def test_failed_pool_start_closes_its_arena(self, monkeypatch):
+        # a pool that cannot be created leaves no arena fd and no entry
+        def no_pool(*args, **kwargs):
+            raise OSError("cannot fork the pool")
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd")
+        shutdown_pools()
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_pool)
+        # the first start's barrier opens multiprocessing's shared heap,
+        # which stays open, so the count after it is the baseline
+        counts = []
+        for _ in range(3):
+            with pytest.raises(OSError, match="^cannot fork the pool$"):
+                pool.fork_pool(2, 1 << 20)
+            gc.collect()
+            counts.append(len(os.listdir("/proc/self/fd")))
+            assert not pool._POOLS
+        assert counts == [counts[0]] * 3
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="pins glibc malloc's thresholds")
@@ -1065,8 +1088,8 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
 
     # at the pipeline's own winners, support decides the flags
     aggregate._aggregate_band(out, 0, h, hyp.inverse,
-                              AggregationConfig(min_support=0.3), side,
-                              keep)
+                              AggregationConfig(min_support=0.3), np.ones(1),
+                              side, keep)
     support = at(box, out.winner)
     if side < 15:
         assert 0 < (support >= 0.3).sum() < h * w
@@ -1097,8 +1120,8 @@ def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
     vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
                          angular=(0.0, 0.01, 0.0))
     hyp = inverse_depth_hypotheses(2.0, 10.0, 9)
-    agg = AggregationConfig(scale_weights=(1.0, 0.75, 0.5),
-                            trend_iterations=1, peak_alpha=0.7)
+    agg = AggregationConfig(trend_iterations=1, peak_alpha=0.7)
+    weights = np.array([1.0, 0.75, 0.5])
     for residue in (False, True):
         out = sweep_window(sensor_window(intr, seed=3), intr, vel, hyp,
                            SweepConfig(num_scales=3,
@@ -1111,8 +1134,8 @@ def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
                 scores[:, 5 >> k, 6 >> k] = -1e-17 * (1 + np.arange(9) % 3)
         want = gather_fuse([padded_trend_filter(s, agg.trend_iterations,
                                                 agg.peak_alpha)
-                            for s in out.scores], agg.scale_weights)
+                            for s in out.scores], weights)
         for r0, r1 in bands:
-            aggregate._aggregate_band(out, r0, r1, hyp.inverse, agg, 3,
-                                      keep)
+            aggregate._aggregate_band(out, r0, r1, hyp.inverse, agg, weights,
+                                      3, keep)
         assert out.scores[0].tobytes() == want.tobytes()

@@ -186,6 +186,7 @@ def test_camera(data):
 @example(b'{"kind": "plane", "depths": [10.0], "edge_spacing": null}')
 @example(b'{"kind": "plane", "depths": [10.0], "band": [1]}')
 @example(b'{"kind": "plane", "depths": [10.0], "period": Infinity}')
+@example(b'{"k\\nd": "plane", "depths": [10.0], "edge_spacing": 4}')
 def test_scene(data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(Path(tmp), scene=data)

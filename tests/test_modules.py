@@ -1,6 +1,6 @@
-"""Module boundaries, read from the source: IHCA is pure NumPy and sets no
-pixel flag, the pool knows nothing of depth, and the pipeline leaves
-processes to the pool."""
+"""Module boundaries, read from the source: IHCA is pure NumPy, sets no
+pixel flag and reads no scale-weight default, the pool knows nothing of
+depth, and the pipeline leaves processes to the pool."""
 
 import ast
 from pathlib import Path
@@ -28,6 +28,11 @@ def test_only_the_parent_sets_flags():
     # IHCA writes depth with its sentinel, and costvol derives every flag
     source = (SRC / "aggregate.py").read_text()
     assert "DepthMap" not in source and "FLAG_" not in source
+
+
+def test_ihca_takes_its_scale_weights_resolved():
+    # SweepConfig owns them, and the sweep task resolves None to equal
+    assert "scale_weights" not in (SRC / "aggregate.py").read_text()
 
 
 def test_pool_imports_nothing_from_evdepth():

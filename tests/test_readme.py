@@ -1,10 +1,15 @@
-"""The README's command-line walkthrough, run as written: a flag it shows
-must still exist, and every output file it lists must be written."""
+"""The README's command-line walkthrough and library examples, run as
+written: a flag it shows must still exist, every output file it lists must
+be written, and every line it shows printed must be printed."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
+import evdepth
 from evdepth.cli import main
 from evdepth.costvol import shutdown_pools
 
@@ -51,6 +56,20 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch):
                 assert Path(args[0]).read_bytes() == Path(args[1]).read_bytes()
     finally:
         shutdown_pools()
+
+
+def test_library_examples_run():
+    # the ``python`` blocks run in order in a fresh interpreter, and a
+    # ``# text`` comment right after a ``print`` is the line it prints
+    code = "".join(re.findall(r"```python\n(.*?)```", README.read_text(), re.S))
+    printed = re.findall(r"^print\(.*\n# (.*)$", code, re.M)
+    assert printed
+    src = os.path.dirname(os.path.dirname(evdepth.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == printed
 
 
 def test_layout_table_lists_every_module():

@@ -229,7 +229,7 @@ class TestOracle:
             focus=FocusConfig(weights=FocusWeights(
                 values=(1.0, 0.0, 1.0, 0.0, 0.0, 0.0))),
             num_scales=1)
-        agg = AggregationConfig(scale_weights=(1.0,))
+        agg = AggregationConfig()
         report = oracle_depth_error(win, INTR, VEL, hyp, truth, sweep, agg)
         assert report.n_event_pixels > 100
         assert report.bin_accuracy >= 0.9
