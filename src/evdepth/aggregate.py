@@ -26,12 +26,13 @@ def _block_slices(shape) -> int:
 def _trend_filter_inplace(s: np.ndarray, iterations: int, peak_alpha: float,
                           step: int) -> np.ndarray:
     """Trend-filter the (D, h, w) volume ``s`` in place, ``step`` hypothesis
-    slices at a time, and return each curve's maximum after filtering.
+    slices at a time, and return each curve's maximum after smoothing.
 
     Smoothing applies the (1, 2, 1)/4 kernel with replicated endpoints
     ``iterations`` times.  A single suppression pass then replaces every
     strict interior local maximum below ``peak_alpha`` times the curve's
-    global maximum with the average of its neighbours.
+    global maximum with the average of its neighbours.  With ``peak_alpha``
+    in [0, 1] that leaves a positive maximum as it is.
 
     Each pass reads only values from before the pass, so a block needs just
     one saved slice: the one before it, as it was.
@@ -73,7 +74,6 @@ def _trend_filter_inplace(s: np.ndarray, iterations: int, peak_alpha: float,
             mid *= 0.5
             np.copyto(before, s[b - 1])
             np.copyto(cur, mid, where=weak)
-        peak = s.max(axis=0)
     return peak
 
 

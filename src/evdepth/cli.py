@@ -68,7 +68,9 @@ def _add_depth_flags(p):
     p.add_argument("--fcd-weights", type=_csv_floats,
                    default=sweep.focus.weights.values,
                    help="six comma-separated gradient-channel weights")
-    p.add_argument("--window-radius", type=int, default=sweep.focus.window_radius)
+    p.add_argument("--window-radius", type=int, default=sweep.focus.window_radius,
+                   help="side of the square focus and support window, "
+                   "in pixels (odd)")
     p.add_argument("--sosa-lambda", type=float, default=sweep.focus.sosa_lambda)
     p.add_argument("--dmin", type=float, default=2.0)
     p.add_argument("--dmax", type=float, default=80.0)
@@ -226,13 +228,19 @@ def _load_rig(args) -> CameraRig:
 def _load_windows(args, hyp, sweep):
     """The camera rig, checked against --scales, and the windows of a
     non-empty event stream that fits its sensor.  The sweep's pool is
-    forked in between, so that its workers hold no copy of the stream."""
+    forked in between, so that its workers hold no copy of the stream, and
+    a window too large to hold fails before the stream loads."""
     rig = _load_rig(args)
     try:
         check_scales(args.scales, rig.intrinsics)
     except ValueError as exc:
         raise ConfigError(f"--scales: {exc}") from exc
-    start_pool(sweep, hyp, rig.intrinsics)
+    try:
+        start_pool(sweep, hyp, rig.intrinsics)
+    except MemoryError as exc:
+        raise MemoryError(f"the {rig.intrinsics.width}x{rig.intrinsics.height}"
+                          f" sensor of camera config {args.camera}: {exc}"
+                          ) from exc
     events = _parse_input(load_events, args.events, "event stream")
     if len(events) == 0:
         raise ConfigError(f"event stream is empty: {args.events}")

@@ -236,26 +236,24 @@ def _split(n: int, parts: int) -> list[tuple[int, int]]:
 _CURVE_PIXELS = 8
 
 
-def _check_read(got: int, want: int) -> None:
-    if got != want:
-        raise OSError(f"read {got} of {want} bytes of the window arena")
-
-
 def _read_arena(readv, layout) -> tuple[DepthMap, SweepSummary]:
     """A window's depth map and summary, read into fresh arrays by
-    ``readv(views, offset)``, which reads the window's bytes as
-    ``os.preadv`` does, so that the parent never maps a pool's arena.  The
-    discarded tally and the maps end the layout with no gap between them,
-    as they are whole 8-byte words, so they take one read.  A pixel is
-    invalid where its depth is ``DEPTH_SENTINEL``, which no measured depth
-    is, and measured elsewhere.  The summary keeps the fused curves of up
-    to ``_CURVE_PIXELS`` measured pixels, spread evenly over them in
-    row-major order, one read per hypothesis.  A short read raises
-    ``OSError``."""
-    tail = layout[-4:]
-    arrays = [np.empty(shape, dtype) for dtype, shape, _ in tail]
-    _check_read(readv([memoryview(a).cast("B") for a in arrays], tail[0][2]),
-                sum(a.nbytes for a in arrays))
+    ``readv(view, offset)``, which fills a byte view from the window's bytes
+    and returns the bytes read, so that the parent never maps a pool's
+    arena.  A pixel is invalid where its depth is ``DEPTH_SENTINEL``, which
+    no measured depth is, and measured elsewhere.  The summary keeps the
+    fused curves of up to ``_CURVE_PIXELS`` measured pixels, spread evenly
+    over them in row-major order, one read per hypothesis.  A short read
+    raises ``OSError``."""
+    def read(view, offset):
+        got = readv(view, offset)
+        if got != len(view):
+            raise OSError(f"read {got} of {len(view)} bytes of the window "
+                          "arena")
+
+    arrays = [np.empty(shape, dtype) for dtype, shape, _ in layout[-4:]]
+    for array, (_, _, offset) in zip(arrays, layout[-4:]):
+        read(memoryview(array).cast("B"), offset)
     discarded, depth, confidence, winner = arrays
     flags = np.where(depth == DEPTH_SENTINEL, FLAG_INVALID,
                      FLAG_MEASURED).astype(np.uint8)
@@ -270,8 +268,8 @@ def _read_arena(readv, layout) -> tuple[DepthMap, SweepSummary]:
         curve = curves[y, x] = np.empty(d, dtype)
         values = memoryview(curve).cast("B")
         for j in range(d):
-            _check_read(readv([values[j * size:(j + 1) * size]],
-                              start + ((j * h + y) * w + x) * size), size)
+            read(values[j * size:(j + 1) * size],
+                 start + ((j * h + y) * w + x) * size)
     return depth_map, SweepSummary(winner=winner, curves=curves,
                                    discarded=discarded)
 
@@ -315,11 +313,12 @@ def start_pool(sweep: SweepConfig, hypotheses: HypothesisSet,
                intrinsics: CameraIntrinsics) -> None:
     """Fork the pool that ``estimate_depth`` runs this sweep's windows on,
     with their arena, before the caller loads the event stream: a worker's
-    resident set then holds none of it.  Does nothing for one worker."""
-    if sweep.workers > 1:
-        _, nbytes = _window_layout(len(hypotheses), intrinsics.resolution,
-                                   sweep.num_scales)
-        fork_pool(sweep.workers, nbytes)
+    resident set then holds none of it.  One worker forks nothing.  A
+    window that cannot be held fails here, with a ``MemoryError``, rather
+    than at the first window."""
+    _, nbytes = _window_layout(len(hypotheses), intrinsics.resolution,
+                               sweep.num_scales)
+    fork_pool(sweep.workers, nbytes)
 
 
 def estimate_depth(window: EventWindow, intrinsics: CameraIntrinsics,

@@ -34,6 +34,10 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not self.f > 0:
             raise ValueError(f"focal length must be positive, got {self.f}")
+        # the flow takes f * f, and f * 0 where a velocity component is 0
+        if not float(self.f) * float(self.f) < np.inf:
+            raise ValueError(f"focal length must have a finite square, "
+                             f"got {self.f}")
         if not (0 < self.cu < self.width and 0 < self.cv < self.height):
             raise ValueError("principal point must lie inside the sensor")
 

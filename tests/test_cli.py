@@ -56,6 +56,15 @@ def inputs(dataset):
             "--track", str(dataset / "track.txt")]
 
 
+def huge_camera(tmp_path):
+    """A camera config of a 10,000,000 x 10,000,000 sensor, whose window
+    at 4 hypotheses and 1 scale takes 6.39 PiB."""
+    camera = tmp_path / "huge_camera.json"
+    save_camera(camera, CameraIntrinsics(f=200.0, cu=32.0, cv=32.0,
+                                         width=10_000_000, height=10_000_000))
+    return camera
+
+
 def run_depth(dataset, out, extra=()):
     return main(["depth", *inputs(dataset), "--out", str(out), *FAST, *extra])
 
@@ -198,12 +207,9 @@ class TestDepth:
 
     def test_sensor_too_large_to_allocate_names_the_camera(self, dataset,
                                                            tmp_path, capsys):
-        # one worker allocates the window's 6.39 PiB buffer in-process, which
-        # fails at once and touches no memory
-        camera = tmp_path / "huge_camera.json"
-        save_camera(camera, CameraIntrinsics(f=200.0, cu=32.0, cv=32.0,
-                                             width=10_000_000,
-                                             height=10_000_000))
+        # one worker maps 6.39 PiB of fresh memory for its window before the
+        # stream loads, which fails at once and touches no memory
+        camera = huge_camera(tmp_path)
         rc = main(["depth", "--events", str(dataset / "sim" / "events.txt"),
                    "--camera", str(camera),
                    "--track", str(dataset / "track.txt"),
@@ -211,19 +217,17 @@ class TestDepth:
                    "--num-hypotheses", "4"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: window 0 on the 10000000x10000000 "
-                              f"sensor of camera config {camera}: ")
+        assert err.startswith("error: the 10000000x10000000 sensor of camera "
+                              f"config {camera}: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_arena_too_large_to_map_names_the_camera(self, dataset, tmp_path):
-        # two workers cannot map the window's 6.39 PiB arena, a sparse memfd,
-        # which fails at once and touches no memory.  The run is a separate
-        # process, so that its workers' stderr is read too, and its pipes
-        # reach end of file only once no worker holds them.
-        camera = tmp_path / "huge_camera.json"
-        save_camera(camera, CameraIntrinsics(f=200.0, cu=32.0, cv=32.0,
-                                             width=10_000_000,
-                                             height=10_000_000))
+        # the parent cannot map the window's 6.39 PiB arena, a sparse memfd,
+        # which fails at once, touches no memory and forks no worker.  The
+        # run is a separate process, so that any worker's stderr is read
+        # too, and its pipes reach end of file only once no worker holds them.
+        camera = huge_camera(tmp_path)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         run = subprocess.run(
             [sys.executable, "-m", "evdepth.cli", "depth",
@@ -235,9 +239,28 @@ class TestDepth:
             env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 1
         assert run.stderr == (
-            "error: window 0 on the 10000000x10000000 sensor of camera config "
+            "error: the 10000000x10000000 sensor of camera config "
             f"{camera}: cannot map the 7200000000000032-byte window arena: "
             "[Errno 12] Cannot allocate memory\n")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_oversized_sensor_fails_before_the_stream_loads(
+            self, dataset, tmp_path, capsys, threads):
+        # the event stream is missing, so a run that loaded it would exit 2
+        camera = huge_camera(tmp_path)
+        try:
+            rc = main(["depth", "--events", str(tmp_path / "missing.txt"),
+                       "--camera", str(camera),
+                       "--track", str(dataset / "track.txt"),
+                       "--out", str(tmp_path / "out"), *FAST,
+                       "--num-hypotheses", "4", "--threads", threads])
+        finally:
+            shutdown_pools()
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: the 10000000x10000000 sensor of "
+                                   f"camera config {camera}: ")
 
     def test_noise_runs_are_seed_deterministic(self, dataset, tmp_path):
         a = tmp_path / "noise_a"

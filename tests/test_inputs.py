@@ -173,6 +173,8 @@ def test_track(data):
 
 @settings(max_examples=150, deadline=None)
 @given(json_objects(CAMERA) | mutations(json.dumps(CAMERA).encode()))
+@example(b'{"f": Infinity, "cu": 8.0, "cv": 8.0, "width": 16, "height": 16}')
+@example(b'{"f": 1e200, "cu": 8.0, "cv": 8.0, "width": 16, "height": 16}')
 def test_camera(data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(Path(tmp), camera=data)

@@ -250,6 +250,11 @@ class TestIntrinsics:
             CameraIntrinsics(f=0.0, cu=10.0, cv=10.0, width=21, height=21)
         with pytest.raises(ValueError):
             CameraIntrinsics(f=10.0, cu=25.0, cv=10.0, width=21, height=21)
+        # the flow takes f * f
+        for f in (np.inf, 1e200):
+            with pytest.raises(ValueError, match="^focal length "):
+                CameraIntrinsics(f=f, cu=10.0, cv=10.0, width=21, height=21)
+        CameraIntrinsics(f=1e150, cu=10.0, cv=10.0, width=21, height=21)
 
     def test_resolution_order(self):
         assert CENTER.resolution == (21, 21)
