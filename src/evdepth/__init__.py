@@ -12,8 +12,7 @@ from .motion import (CameraIntrinsics, CameraRig, EventWarp, VelocitySample,
                      load_camera, load_track, motion_field, save_camera,
                      save_track)
 from .iwe import Iwe, accumulate, build_pyramid
-from .focus import (FocusConfig, FocusWeights, fcd_score_map, objective,
-                    weighted_gradients)
+from .focus import FocusConfig, fcd_score_map, objective, weighted_gradients
 from .costvol import (AggregationConfig, DepthMap, HypothesisSet, SweepConfig,
                       SweepSummary, estimate_depth, fill_depth,
                       inverse_depth_hypotheses, objective_sweep)
@@ -30,8 +29,7 @@ __all__ = [
     "flow_terms", "inject_velocity_noise", "interpolate_velocity",
     "load_camera", "load_track", "motion_field", "save_camera", "save_track",
     "Iwe", "accumulate", "build_pyramid",
-    "FocusConfig", "FocusWeights", "fcd_score_map", "objective",
-    "weighted_gradients",
+    "FocusConfig", "fcd_score_map", "objective", "weighted_gradients",
     "AggregationConfig", "DepthMap", "HypothesisSet", "SweepConfig",
     "SweepSummary", "estimate_depth", "fill_depth",
     "inverse_depth_hypotheses", "objective_sweep",

@@ -24,7 +24,7 @@ from .costvol import (FILL_POLICIES, FLAG_FILLED, FLAG_MEASURED,
                       estimate_depth, inverse_depth_hypotheses, start_pool)
 from .events import (check_stream, form_windows, load_events,
                      save_events_binary, save_events_text)
-from .focus import VOLUME_KINDS, FocusConfig, FocusWeights
+from .focus import CHANNELS, VOLUME_KINDS, FocusConfig
 from .imgio import read_pfm, write_pfm, write_pgm
 from .iwe import SPLATS
 from .metrics import aggregate_reports, evaluate
@@ -66,8 +66,9 @@ def _add_depth_flags(p):
     p.add_argument("--objective", default=sweep.focus.kind,
                    choices=VOLUME_KINDS)
     p.add_argument("--fcd-weights", type=_csv_floats,
-                   default=sweep.focus.weights.values,
-                   help="six comma-separated gradient-channel weights")
+                   default=sweep.focus.weights,
+                   help="comma-separated gradient-channel weights, one per "
+                   f"channel {','.join(CHANNELS)}")
     p.add_argument("--window-radius", type=int, default=sweep.focus.window_radius,
                    help="side of the square focus and support window, "
                    "in pixels (odd)")
@@ -225,6 +226,12 @@ def _load_rig(args) -> CameraRig:
                         args.track, "velocity track")
 
 
+def _sensor(args, rig) -> str:
+    """The sensor a run's windows are swept on, for a MemoryError message."""
+    return (f"the {rig.intrinsics.width}x{rig.intrinsics.height} sensor of "
+            f"camera config {args.camera}")
+
+
 def _load_windows(args, hyp, sweep):
     """The camera rig, checked against --scales, and the windows of a
     non-empty event stream that fits its sensor.  The sweep's pool is
@@ -238,9 +245,7 @@ def _load_windows(args, hyp, sweep):
     try:
         start_pool(sweep, hyp, rig.intrinsics)
     except MemoryError as exc:
-        raise MemoryError(f"the {rig.intrinsics.width}x{rig.intrinsics.height}"
-                          f" sensor of camera config {args.camera}: {exc}"
-                          ) from exc
+        raise MemoryError(f"{_sensor(args, rig)}: {exc}") from exc
     events = _parse_input(load_events, args.events, "event stream")
     if len(events) == 0:
         raise ConfigError(f"event stream is empty: {args.events}")
@@ -288,7 +293,7 @@ def cmd_simulate(args) -> int:
 # The config fields and ``inverse_depth_hypotheses`` parameters that flags
 # set, whose range errors start with the field's name.
 _FIELD_FLAGS = {"d_min": "--dmin", "d_max": "--dmax", "count": "--num-hypotheses",
-                "values": "--fcd-weights", "num_scales": "--scales", "workers": "--threads",
+                "weights": "--fcd-weights", "num_scales": "--scales", "workers": "--threads",
                 "window_radius": "--window-radius", "scale_weights": "--scale-weights",
                 "trend_iterations": "--trend-iters", "peak_alpha": "--peak-alpha",
                 "min_support": "--min-support"}
@@ -306,8 +311,15 @@ def _pipeline_configs(args):
         raise ConfigError(f"--max-interval must be > 0, got {args.max_interval}")
     try:
         hyp = inverse_depth_hypotheses(args.dmin, args.dmax, args.num_hypotheses)
+        # Refined depths lie between the bounds, so a float32 map holds them.
+        f32 = np.finfo(np.float32)
+        lo, hi = float(f32.tiny), float(f32.max)
+        for flag, bound in (("--dmin", args.dmin), ("--dmax", args.dmax)):
+            if not lo <= bound <= hi:
+                raise ConfigError(f"{flag} must be in [{lo}, {hi}] to fit a "
+                                  f"float32 depth map, got {bound}")
         focus = FocusConfig(kind=args.objective,
-                            weights=FocusWeights(values=args.fcd_weights),
+                            weights=args.fcd_weights,
                             window_radius=args.window_radius,
                             sosa_lambda=args.sosa_lambda)
         sweep = SweepConfig(focus=focus, num_scales=args.scales,
@@ -356,9 +368,8 @@ def cmd_depth(args) -> int:
             depth_map, summary = estimate_depth(window, rig.intrinsics, vel,
                                                 hyp, sweep, agg)
         except MemoryError as exc:
-            raise MemoryError(f"window {i} on the {rig.intrinsics.width}x"
-                              f"{rig.intrinsics.height} sensor of camera "
-                              f"config {args.camera}: {exc}") from exc
+            raise MemoryError(f"window {i} on {_sensor(args, rig)}: {exc}"
+                              ) from exc
         elapsed = time.perf_counter() - t0
         write_pfm(args.out / f"depth_{i:04d}.pfm", depth_map.depth)
         # one grey level per flag, so that masks of any run compare
@@ -465,8 +476,13 @@ def cmd_ablate(args) -> int:
             for wi, window in enumerate(windows):
                 vel = _window_velocity(rig, window, level,
                                        _noise_seed(args.seed, li, wi, trial))
-                depth_map, _ = estimate_depth(window, rig.intrinsics, vel,
-                                              hyp, sweep, agg)
+                try:
+                    depth_map, _ = estimate_depth(window, rig.intrinsics, vel,
+                                                  hyp, sweep, agg)
+                except MemoryError as exc:
+                    raise MemoryError(f"noise {level:g} trial {trial} window "
+                                      f"{wi} on {_sensor(args, rig)}: {exc}"
+                                      ) from exc
                 try:
                     per_window.append(evaluate(depth_map.depth, truth,
                                                max_depth=args.max_depth))

@@ -79,10 +79,23 @@ def inverse_depth_hypotheses(d_min: float, d_max: float, count: int) -> Hypothes
         raise ValueError(f"d_min must be finite and > 0, got {d_min}")
     if not d_min < d_max < np.inf:
         raise ValueError(f"d_max must be finite and > d_min = {d_min}, got {d_max}")
+    # Both bounds, and so every hypothesis, have a normal float inverse,
+    # whose own inverse is finite.
+    tiny = np.finfo(np.float64).tiny
+    if d_min < tiny:
+        raise ValueError(f"d_min must be >= {tiny} to have a finite inverse, "
+                         f"got {d_min}")
+    if d_max > 1 / tiny:
+        raise ValueError(f"d_max must be <= {1 / tiny} to have a normal "
+                         f"inverse, got {d_max}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    inv = np.linspace(1.0 / d_min, 1.0 / d_max, count)
-    return HypothesisSet(depths=1.0 / inv)
+    depths = 1.0 / np.linspace(1.0 / d_min, 1.0 / d_max, count)
+    if not (np.diff(depths) > 0).all():
+        raise ValueError(f"count must be small enough that the hypotheses "
+                         f"from d_min = {d_min} to d_max = {d_max} strictly "
+                         f"increase, got {count}")
+    return HypothesisSet(depths=depths)
 
 
 @dataclass(frozen=True)

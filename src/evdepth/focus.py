@@ -22,30 +22,22 @@ VOLUME_KINDS = ("fcd", "var", "soe")
 
 
 @dataclass(frozen=True)
-class FocusWeights:
-    """One weight per gradient channel, in CHANNELS order."""
-    values: tuple[float, float, float, float, float, float] = (1.0,) * 6
-
-    def __post_init__(self):
-        if len(self.values) != 6:
-            raise ValueError(f"values must be 6 channel weights, "
-                             f"got {len(self.values)}")
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"values must be finite, got {self.values}")
-        if not any(w != 0 for w in self.values):
-            raise ValueError("values must hold a nonzero channel weight")
-
-
-@dataclass(frozen=True)
 class FocusConfig:
     kind: str = "fcd"
-    weights: FocusWeights = FocusWeights()
+    weights: tuple[float, ...] = (1.0,) * 6       # one per CHANNELS entry
     window_radius: int = 5
     sosa_lambda: float = 1.0
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
+        if len(self.weights) != len(CHANNELS):
+            raise ValueError(f"weights must be {len(CHANNELS)} channel "
+                             f"weights, got {len(self.weights)}")
+        if not np.isfinite(self.weights).all():
+            raise ValueError(f"weights must be finite, got {self.weights}")
+        if not any(w != 0 for w in self.weights):
+            raise ValueError("weights must hold a nonzero channel weight")
         if self.window_radius < 1 or self.window_radius % 2 == 0:
             raise ValueError(
                 f"window_radius must be odd >= 1, got {self.window_radius}")
@@ -88,7 +80,7 @@ def _second_difference(grid: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def weighted_gradients(grid: np.ndarray, weights: FocusWeights) -> np.ndarray:
+def weighted_gradients(grid: np.ndarray, config: FocusConfig) -> np.ndarray:
     """Weighted sum of the absolute gradient channels, in CHANNELS order.
 
     Absolute values stop signed derivatives from cancelling; the squaring
@@ -102,7 +94,7 @@ def weighted_gradients(grid: np.ndarray, weights: FocusWeights) -> np.ndarray:
     h, w = grid.shape
     if h < 3 or w < 3:
         raise ValueError(f"grid {h}x{w} too small for gradients (needs >= 3x3)")
-    w_x, w_y, w_xx, w_yy, w_xy, w_xxyy = weights.values
+    w_x, w_y, w_xx, w_yy, w_xy, w_xxyy = config.weights
     # axis 0 is v (rows), axis 1 is u (columns)
     gx = _gradient(grid, axis=1) if w_x or w_xy else None
     gy = _gradient(grid, axis=0) if w_y else None
@@ -111,7 +103,7 @@ def weighted_gradients(grid: np.ndarray, weights: FocusWeights) -> np.ndarray:
     gxy = _gradient(gx, axis=0) if w_xy else None
     gxxyy = gxx * gyy if w_xxyy else None
     out = None
-    for wt, m in zip(weights.values, (gx, gy, gxx, gyy, gxy, gxxyy)):
+    for wt, m in zip(config.weights, (gx, gy, gxx, gyy, gxy, gxxyy)):
         if wt == 0:
             continue
         np.abs(m, out=m)
@@ -169,7 +161,7 @@ def window_energy(combined: np.ndarray, radius: int) -> np.ndarray:
 
 def fcd_score_map(grid: np.ndarray, config: FocusConfig,
                   out: np.ndarray | None = None) -> np.ndarray:
-    r = weighted_gradients(grid, config.weights)
+    r = weighted_gradients(grid, config)
     return _window_root(np.multiply(r, r, out=r), config.window_radius, out)
 
 

@@ -23,7 +23,7 @@ from evdepth.costvol import (
     objective_sweep,
     shutdown_pools,
 )
-from evdepth.focus import FocusConfig, FocusWeights
+from evdepth.focus import FocusConfig
 from evdepth.iwe import accumulate
 from evdepth.metrics import evaluate
 from evdepth.motion import (
@@ -46,7 +46,7 @@ from evdepth.synth import (
 # First-derivative and second-derivative channels only: the gxx*gyy product
 # channel is quadratic in event count and favors dispersed mass, so the
 # discriminative weighting zeroes it (the library default keeps all six).
-GRAD_WEIGHTS = FocusWeights(values=(1.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+GRAD_WEIGHTS = (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 INTR = CameraIntrinsics(f=200.0, cu=32.0, cv=32.0, width=64, height=64)
 TRACK = (VelocitySample(t=0.0, linear=(1.0, 0.0, 0.0),

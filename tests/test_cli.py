@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evdepth import cli, costvol, pool
@@ -482,6 +482,7 @@ CONFIGS = st.dictionaries(st.sampled_from(DEPTH_DESTS),
 
 @settings(max_examples=300, deadline=None)
 @given(CONFIGS)
+@example({"dmin": 5e-324})        # 1/dmin is inf, and np.linspace warned
 def test_any_config_file_gives_configs_or_config_error(raw):
     """Whatever a --config object holds, resolving it into the pipeline
     configs either succeeds or raises ConfigError (exit 2)."""
@@ -609,6 +610,15 @@ RANGE_ERRORS = [
     ("--dmin", "nan", "finite and > 0, got nan"),
     ("--dmax", "1.5", "finite and > d_min = 2.0, got 1.5"),
     ("--dmax", "inf", "finite and > d_min = 2.0, got inf"),
+    # bounds whose grid or float32 depth map once overflowed with a warning
+    ("--dmin", "1e-320",
+     ">= 2.2250738585072014e-308 to have a finite inverse, got 1e-320"),
+    ("--dmin", "1e-300", "in [1.1754943508222875e-38, 3.4028234663852886e+38]"
+     " to fit a float32 depth map, got 1e-300"),
+    ("--dmax", "1e39", "in [1.1754943508222875e-38, 3.4028234663852886e+38]"
+     " to fit a float32 depth map, got 1e+39"),
+    ("--dmax", "1e308",
+     "<= 4.49423283715579e+307 to have a normal inverse, got 1e+308"),
     ("--fcd-weights", "1,2", "6 channel weights, got 2"),
     ("--fcd-weights", "nan,0,1,0,0,0",
      "finite, got (nan, 0.0, 1.0, 0.0, 0.0, 0.0)"),
@@ -635,6 +645,22 @@ def test_config_range_errors_name_the_flag(dataset, tmp_path, capsys, command,
                *FAST, flag, value, *extra])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {flag} must be {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+def test_colliding_hypotheses_name_the_count(dataset, tmp_path, capsys,
+                                             command):
+    # 16 hypotheses between two adjacent floats repeat a depth
+    extra = (["--truth", str(dataset / "sim" / "truth.pfm"), "--levels", "0"]
+             if command == "ablate" else [])
+    rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
+               *FAST, "--dmax", "2.0000000000000004", *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --num-hypotheses must be small enough that the hypotheses "
+        "from d_min = 2.0 to d_max = 2.0000000000000004 strictly increase, "
+        "got 16\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -801,6 +827,33 @@ def test_config_error_before_the_stream_forks_no_pool(
         shutdown_pools()
     assert rc == 2
     assert forked == []
+
+
+@pytest.mark.parametrize("command, where", [
+    ("depth", "window 1"), ("ablate", "noise 0 trial 0 window 1")])
+def test_window_out_of_memory_names_the_window(dataset, tmp_path, capsys,
+                                               monkeypatch, command, where):
+    # the second sweep, of window 1, runs out of memory
+    estimate, calls = cli.estimate_depth, []
+
+    def failing_estimate(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return estimate(*args)
+
+    monkeypatch.setattr(cli, "estimate_depth", failing_estimate)
+    out = tmp_path / "out"
+    rc = main([command, *inputs(dataset), "--out", str(out), *FAST,
+               "--max-count", "800", *sweep_extra(command, dataset)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {where} on the 64x64 sensor of camera config "
+        f"{dataset / 'camera.json'}: Unable to allocate 1.00 TiB\n")
+    written = sorted(p.name for p in out.iterdir())
+    assert written == (["confidence_0000.pfm", "depth_0000.pfm",
+                        "diag_0000.json", "manifest.json", "mask_0000.pgm"]
+                       if command == "depth" else ["manifest.json"])
 
 
 @pytest.mark.parametrize("command", ["simulate", "eval"])

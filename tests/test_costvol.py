@@ -135,6 +135,20 @@ class TestHypothesisSet:
             with pytest.raises(ValueError, match=f"^count must be >= 1, "
                                                  f"got {count}"):
                 inverse_depth_hypotheses(2.0, 5.0, count)
+        # bounds without a usable grid, which once ran into NumPy warnings
+        for d_min, d_max, count, field in (
+                (5e-324, 2.0, 4, "d_min"),                  # 1/d_min is inf
+                (1e-320, 2.0, 4, "d_min"),
+                (2.0, 1.7976931348623157e308, 4, "d_max"),  # 1/(1/d_max) is inf
+                (1.0, 1.0000000000000002, 8, "count")):     # equal neighbors
+            with pytest.raises(ValueError, match=f"^{field} must be "):
+                inverse_depth_hypotheses(d_min, d_max, count)
+
+    def test_widest_bounds_give_a_usable_grid(self):
+        tiny = np.finfo(np.float64).tiny
+        hyp = inverse_depth_hypotheses(tiny, 1 / tiny, 64)
+        assert np.isfinite(hyp.depths).all() and (np.diff(hyp.depths) > 0).all()
+        assert len(inverse_depth_hypotheses(1.0, 1.0000000000000002, 2)) == 2
 
 
 class TestTrendFilter:

@@ -9,7 +9,6 @@ from evdepth.focus import (
     OBJECTIVE_KINDS,
     VOLUME_KINDS,
     FocusConfig,
-    FocusWeights,
     box_window_sum,
     fcd_score_map,
     mean_timestamp_image,
@@ -30,7 +29,7 @@ def channel(grid, k, weight=1.0):
     """weight * |channel k| alone, through a one-hot weight vector."""
     values = [0.0] * len(CHANNELS)
     values[k] = weight
-    return weighted_gradients(grid, FocusWeights(values=tuple(values)))
+    return weighted_gradients(grid, FocusConfig(weights=tuple(values)))
 
 
 def moveaxis_second_difference(grid, axis):
@@ -92,22 +91,22 @@ class TestGradientStack:
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            weighted_gradients(np.zeros((2, 5)), FocusWeights())
+            weighted_gradients(np.zeros((2, 5)), FocusConfig())
 
     def test_channel_count_matches_names(self):
-        assert len(FocusWeights().values) == len(CHANNELS) == 6
+        assert len(FocusConfig().weights) == len(CHANNELS) == 6
 
 
 class TestCombine:
     def test_single_channel_selection(self):
-        out = weighted_gradients(ramp(), FocusWeights(values=(1.0, 0, 0, 0, 0, 0)))
+        out = weighted_gradients(ramp(), FocusConfig(weights=(1.0, 0, 0, 0, 0, 0)))
         np.testing.assert_array_equal(out, np.abs(np.gradient(ramp(), axis=1)))
 
     def test_signed_weights_on_constant_stack(self):
         # a signed weight subtracts its channel's magnitude, in channel order
         rng = np.random.default_rng(3)
         grid = rng.uniform(size=(6, 7))
-        out = weighted_gradients(grid, FocusWeights(values=(1.0, -1.0, 2.0, 0, 0, 0)))
+        out = weighted_gradients(grid, FocusConfig(weights=(1.0, -1.0, 2.0, 0, 0, 0)))
         expect = channel(grid, 0) + channel(grid, 1, -1.0) + channel(grid, 2, 2.0)
         np.testing.assert_array_equal(out, expect)
 
@@ -115,7 +114,7 @@ class TestCombine:
         # grid = u - v: gx = 1 and gy = -1 everywhere
         v = np.arange(4, dtype=np.float64)[:, None]
         u = np.arange(5, dtype=np.float64)[None, :]
-        out = weighted_gradients(u - v, FocusWeights(values=(1.0, 1.0, 0, 0, 0, 0)))
+        out = weighted_gradients(u - v, FocusConfig(weights=(1.0, 1.0, 0, 0, 0, 0)))
         np.testing.assert_array_equal(out, np.full((4, 5), 2.0))
 
     @pytest.mark.parametrize("weights", [(1, 0, 1, 0, 0, 0), (1,) * 6,
@@ -125,7 +124,7 @@ class TestCombine:
         grid = rng.poisson(2.0, size=(18, 23)).astype(np.float64)
         weights = tuple(float(w) for w in weights)
         cfg = FocusConfig(kind="fcd", window_radius=5,
-                          weights=FocusWeights(values=weights))
+                          weights=weights)
         np.testing.assert_array_equal(
             fcd_score_map(grid, cfg),
             window_energy(six_channel_sum(grid, weights), 5))
@@ -210,7 +209,7 @@ def allocating_score_map(grid, config):
     """volume_score_map from the reference kernels, every step allocating."""
     r = config.window_radius
     if config.kind == "fcd":
-        combined = six_channel_sum(grid, config.weights.values)
+        combined = six_channel_sum(grid, config.weights)
         return np.sqrt(np.maximum(padded_box_sum(combined * combined, r), 0.0))
     if config.kind == "var":
         dev = grid - grid.mean()
@@ -246,7 +245,7 @@ class TestInPlaceKernels:
     def test_weighted_gradients(self, shape, weights):
         grid = signed_sparse_grid(shape, sum(shape))
         before = grid.copy()
-        got = weighted_gradients(grid, FocusWeights(values=weights))
+        got = weighted_gradients(grid, FocusConfig(weights=weights))
         assert same_bits(got, six_channel_sum(grid, weights))
         assert same_bits(grid, before)
 
@@ -263,8 +262,8 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(side)
         # IWE-like: non-negative, sparse
         grid = rng.uniform(0.0, 2.0, size=shape) * (rng.uniform(size=shape) < 0.4)
-        config = FocusConfig(kind=kind, window_radius=side, weights=FocusWeights(
-            values=(1.0, -0.5, 1.0, 0.0, 2.0, 0.25)))
+        config = FocusConfig(kind=kind, window_radius=side,
+                             weights=(1.0, -0.5, 1.0, 0.0, 2.0, 0.25))
         want = allocating_score_map(grid, config)
         assert same_bits(volume_score_map(grid, config), want)
         h, w = shape
@@ -343,7 +342,7 @@ class TestScalarObjectives:
         object.__setattr__(b, "grid", 3.0 * grid)
         cfg = FocusConfig(
             kind="fcd", window_radius=3,
-            weights=FocusWeights(values=(1.0, 1.0, 1.0, 1.0, 1.0, 0.0)))
+            weights=(1.0, 1.0, 1.0, 1.0, 1.0, 0.0))
         np.testing.assert_allclose(objective(b, cfg), 3.0 * objective(a, cfg),
                                    rtol=1e-9)
 
@@ -356,7 +355,7 @@ class TestScalarObjectives:
         object.__setattr__(b, "grid", 3.0 * grid)
         cfg = FocusConfig(
             kind="fcd", window_radius=3,
-            weights=FocusWeights(values=(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
+            weights=(0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
         np.testing.assert_allclose(objective(b, cfg), 9.0 * objective(a, cfg),
                                    rtol=1e-9)
 
@@ -426,16 +425,16 @@ class TestVolumeScoreMap:
 class TestConfigValidation:
     def test_weights_length(self):
         with pytest.raises(ValueError):
-            FocusWeights(values=(1.0, 1.0, 1.0))
+            FocusConfig(weights=(1.0, 1.0, 1.0))
 
     def test_weights_not_all_zero(self):
         with pytest.raises(ValueError):
-            FocusWeights(values=(0.0,) * 6)
+            FocusConfig(weights=(0.0,) * 6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_weights_finite(self, bad):
-        with pytest.raises(ValueError, match="^values must be finite"):
-            FocusWeights(values=(1.0, bad, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^weights must be finite"):
+            FocusConfig(weights=(1.0, bad, 0.0, 0.0, 0.0, 0.0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from evdepth.costvol import (AggregationConfig, SweepConfig,
                              inverse_depth_hypotheses)
-from evdepth.focus import FocusConfig, FocusWeights
+from evdepth.focus import FocusConfig
 from evdepth.motion import (CameraIntrinsics, CameraRig, VelocitySample,
                             interpolate_velocity)
 from evdepth.synth import (SceneSpec, event_pixel_mask, generate, load_scene,
@@ -226,8 +226,7 @@ class TestOracle:
         win, truth = make_window()
         hyp = inverse_depth_hypotheses(2.0, 50.0, 32)
         sweep = SweepConfig(
-            focus=FocusConfig(weights=FocusWeights(
-                values=(1.0, 0.0, 1.0, 0.0, 0.0, 0.0))),
+            focus=FocusConfig(weights=(1.0, 0.0, 1.0, 0.0, 0.0, 0.0)),
             num_scales=1)
         agg = AggregationConfig()
         report = oracle_depth_error(win, INTR, VEL, hyp, truth, sweep, agg)
