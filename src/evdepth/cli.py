@@ -27,10 +27,10 @@ from .events import (check_stream, form_windows, load_events,
 from .focus import CHANNELS, VOLUME_KINDS, FocusConfig
 from .imgio import read_pfm, write_pfm, write_pgm
 from .iwe import SPLATS
-from .metrics import aggregate_reports, evaluate
-from .motion import (CameraRig, inject_velocity_noise, interpolate_velocity,
-                     load_camera, load_track, average_velocity_norms,
-                     save_camera, save_track)
+from .metrics import METRIC_COLUMNS, aggregate_reports, evaluate
+from .motion import (CameraRig, flow_bound, inject_velocity_noise,
+                     interpolate_velocity, load_camera, load_track,
+                     average_velocity_norms, save_camera, save_track)
 from .synth import generate, load_scene, save_scene
 
 log = logging.getLogger("evdepth")
@@ -50,7 +50,6 @@ def _csv_floats(text):
 def _add_global_flags(p):
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file with defaults for any flag (flags override)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
 
 
@@ -59,6 +58,7 @@ def _add_depth_flags(p):
     p.add_argument("--camera", type=Path, help="camera intrinsics JSON")
     p.add_argument("--track", type=Path, help="velocity track file")
     p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker processes for the hypothesis sweep")
     # The pipeline defaults are those of the default library configs.
@@ -99,6 +99,7 @@ def build_parser():
     sim.add_argument("--camera", type=Path, help="camera intrinsics JSON")
     sim.add_argument("--track", type=Path, help="velocity track file")
     sim.add_argument("--out", type=Path, help="output directory")
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--duration", type=float, default=0.1)
     sim.add_argument("--events-per-edge", type=int, default=10)
     sim.add_argument("--jitter", type=float, default=0.0)
@@ -111,7 +112,7 @@ def build_parser():
                      help="velocity noise level as a fraction of the velocity norm")
 
     ev = sub.add_parser("eval", help="score predicted depth maps against truth")
-    _add_global_flags(ev)
+    _add_global_flags(ev)       # and no --seed: grading draws no random numbers
     ev.add_argument("--pred", type=Path, help="directory of predicted .pfm maps")
     ev.add_argument("--truth", type=Path,
                     help="truth .pfm file, or directory matched by filename")
@@ -208,12 +209,14 @@ def _parse_input(loader, path, what):
 
 
 def _write_manifest(out_dir, command, args):
-    """Write the resolved flags to manifest.json, which --config reads back."""
+    """Make the output directory and write the resolved flags to its
+    manifest.json, which --config reads back."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = {key: value for key, value in vars(args).items()
            if key not in ("command", "config", "verbose")}
     manifest = {"tool": "evdepth", "version": __version__,
                 "command": command, "config": cfg}
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
+    with open(out_dir / "manifest.json", "w") as fh:
         # Tuples are written as lists and paths (via ``default``) as strings.
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -238,6 +241,10 @@ def _load_windows(args, hyp, sweep):
     forked in between, so that its workers hold no copy of the stream, and
     a window too large to hold fails before the stream loads."""
     rig = _load_rig(args)
+    # the rig bounds the flow at 1 m; nearer hypotheses scale it up
+    if not max(flow_bound(rig.intrinsics, s, args.dmin) for s in rig.track) < np.inf:
+        raise ConfigError(f"--dmin must be large enough that velocity track "
+                          f"{args.track} gives a finite flow, got {args.dmin}")
     try:
         check_scales(args.scales, rig.intrinsics)
     except ValueError as exc:
@@ -273,7 +280,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ValueError(f"scene {args.scene} on camera {args.camera}: "
                          f"{exc}") from exc
-    args.out.mkdir(parents=True, exist_ok=True)
+    _write_manifest(args.out, "simulate", args)
     if args.format == "binary":
         events_path = args.out / "events.bin"
         save_events_binary(events_path, window.events)
@@ -284,7 +291,6 @@ def cmd_simulate(args) -> int:
     save_track(args.out / "track.txt", rig.track)
     save_scene(args.out / "scene.json", scene)
     write_pfm(args.out / "truth.pfm", truth.depth)
-    _write_manifest(args.out, "simulate", args)
     log.info("wrote %d events to %s", len(window.events), events_path)
     print(f"simulate: {len(window.events)} events -> {args.out}")
     return 0
@@ -336,20 +342,35 @@ def _pipeline_configs(args):
     return hyp, sweep, agg
 
 
-def _window_velocity(rig, window, noise_level, noise_seed):
-    t_first = float(window.events["t"][0])
-    vel = interpolate_velocity(rig.track, t_first, window.t_ref)
-    if noise_level > 0:
-        lin_norm, ang_norm = average_velocity_norms(rig.track, t_first,
-                                                    window.t_ref)
-        vel = inject_velocity_noise(vel, noise_level, noise_seed,
-                                    linear_norm=lin_norm, angular_norm=ang_norm)
-    return vel
+def _depth_maps(args, rig, windows, hyp, sweep, agg, level, level_index,
+                trial, where):
+    """Yield ``(i, window, depth_map, summary, seconds)`` per window, under
+    velocity noise ``level`` > 0 of the window's mean velocity norms.  A
+    MemoryError names the window, after ``where``."""
+    for i, window in enumerate(windows):
+        t0 = time.perf_counter()
+        t_first = float(window.events["t"][0])
+        vel = interpolate_velocity(rig.track, t_first, window.t_ref)
+        if level > 0:
+            norms = average_velocity_norms(rig.track, t_first, window.t_ref)
+            seed = np.random.SeedSequence([args.seed, level_index, i, trial])
+            vel = inject_velocity_noise(vel, level, int(seed.generate_state(1)[0]),
+                                        *norms)
+        try:
+            depth_map, summary = estimate_depth(window, rig.intrinsics, vel,
+                                                hyp, sweep, agg)
+        except MemoryError as exc:
+            raise MemoryError(f"{where}window {i} on {_sensor(args, rig)}: "
+                              f"{exc}") from exc
+        yield i, window, depth_map, summary, time.perf_counter() - t0
 
 
-def _noise_seed(base_seed, level_index, window_index, trial) -> int:
-    ss = np.random.SeedSequence([int(base_seed), level_index, window_index, trial])
-    return int(ss.generate_state(1)[0])
+def _evaluate(pred, truth, max_depth, where):
+    """``evaluate``, whose error names the maps graded by ``where``."""
+    try:
+        return evaluate(pred, truth, max_depth=max_depth)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def cmd_depth(args) -> int:
@@ -357,20 +378,10 @@ def cmd_depth(args) -> int:
     _check_finite("--noise", args.noise)
     hyp, sweep, agg = _pipeline_configs(args)
     rig, windows = _load_windows(args, hyp, sweep)
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "depth", args)
 
-    for i, window in enumerate(windows):
-        t0 = time.perf_counter()
-        vel = _window_velocity(rig, window, args.noise,
-                               _noise_seed(args.seed, 0, i, 0))
-        try:
-            depth_map, summary = estimate_depth(window, rig.intrinsics, vel,
-                                                hyp, sweep, agg)
-        except MemoryError as exc:
-            raise MemoryError(f"window {i} on {_sensor(args, rig)}: {exc}"
-                              ) from exc
-        elapsed = time.perf_counter() - t0
+    for i, window, depth_map, summary, elapsed in _depth_maps(
+            args, rig, windows, hyp, sweep, agg, args.noise, 0, 0, ""):
         write_pfm(args.out / f"depth_{i:04d}.pfm", depth_map.depth)
         # one grey level per flag, so that masks of any run compare
         flags = depth_map.flags
@@ -427,25 +438,19 @@ def cmd_eval(args) -> int:
     _require(args, "pred", "truth")
     _check_finite("--max-depth", args.max_depth, positive=True)
     pairs = _pair_predictions(args.pred, args.truth)
-    reports = []
-    for pred_path, truth_path in pairs:
-        pred = read_pfm(pred_path)
-        truth = read_pfm(truth_path)
-        try:
-            report = evaluate(pred, truth, max_depth=args.max_depth)
-        except ValueError as exc:
-            raise ValueError(f"{pred_path} against {truth_path}: {exc}") from exc
-        reports.append((pred_path.name, report))
+    reports = [(pred_path.name,
+                _evaluate(read_pfm(pred_path), read_pfm(truth_path),
+                          args.max_depth, f"{pred_path} against {truth_path}"))
+               for pred_path, truth_path in pairs]
     total = aggregate_reports([r for _, r in reports])
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
+        _write_manifest(args.out, "eval", args)
         for name, report in reports:
             stem = Path(name).stem
             with open(args.out / f"report_{stem}.json", "w") as fh:
                 fh.write(report.to_json() + "\n")
         with open(args.out / "report_aggregate.json", "w") as fh:
             fh.write(total.to_json() + "\n")
-        _write_manifest(args.out, "eval", args)
     print(total.table())
     return 0
 
@@ -465,41 +470,29 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"ground-truth depth {args.truth}: shape "
                           f"{truth.shape[1]}x{truth.shape[0]} does not match the "
                           f"camera's {sensor[1]}x{sensor[0]} sensor")
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args.out, "ablate", args)
 
+    # the distance-cutoff errors are left out of the medians and the table
+    names = [c for c in METRIC_COLUMNS if not c.startswith("cutoff_")]
     rows = []
     for li, level in enumerate(args.levels):
         trial_reports = []
         for trial in range(args.trials if level > 0 else 1):
-            per_window = []
-            for wi, window in enumerate(windows):
-                vel = _window_velocity(rig, window, level,
-                                       _noise_seed(args.seed, li, wi, trial))
-                try:
-                    depth_map, _ = estimate_depth(window, rig.intrinsics, vel,
-                                                  hyp, sweep, agg)
-                except MemoryError as exc:
-                    raise MemoryError(f"noise {level:g} trial {trial} window "
-                                      f"{wi} on {_sensor(args, rig)}: {exc}"
-                                      ) from exc
-                try:
-                    per_window.append(evaluate(depth_map.depth, truth,
-                                               max_depth=args.max_depth))
-                except ValueError as exc:
-                    raise ValueError(f"noise {level:g} trial {trial} window "
-                                     f"{wi} against {args.truth}: {exc}") from exc
-            trial_reports.append(aggregate_reports(per_window))
+            where = f"noise {level:g} trial {trial} "
+            trial_reports.append(aggregate_reports(
+                _evaluate(depth_map.depth, truth, args.max_depth,
+                          f"{where}window {i} against {args.truth}")
+                for i, _, depth_map, _, _ in _depth_maps(
+                    args, rig, windows, hyp, sweep, agg, level, li, trial,
+                    where)))
         medians = {name: float(np.median([getattr(r, name)
                                           for r in trial_reports]))
-                   for name in ("abs_rel", "sq_rel", "rmse", "rmse_log",
-                                "delta1", "delta2", "delta3", "epe")}
+                   for name in names}
         rows.append({"level": level, "trials": len(trial_reports), **medians})
         log.info("noise %.0f%%: median abs_rel %.4f",
                  100 * level, medians["abs_rel"])
 
-    cols = ["level", "abs_rel", "sq_rel", "rmse", "rmse_log",
-            "delta1", "delta2", "delta3", "epe"]
+    cols = ["level", *names]
     lines = ["  ".join(c.rjust(8) for c in cols)]
     for row in rows:
         lines.append("  ".join(f"{row[c]:8.4f}" for c in cols))
@@ -522,6 +515,8 @@ def main(argv=None) -> int:
     try:
         _merge_config(argv, parser)
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:    # covers a --config seed too
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                             format="%(levelname)s %(message)s")
         return COMMANDS[args.command](args)

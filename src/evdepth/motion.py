@@ -68,6 +68,12 @@ class CameraRig:
         ts = [s.t for s in self.track]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("velocity track timestamps must be strictly increasing")
+        intr = self.intrinsics
+        for s in self.track:
+            if not flow_bound(intr, s, 1.0) < np.inf:
+                raise ValueError(f"velocity at t={s.t} gives a flow beyond the "
+                                 f"float range on the {intr.width}x"
+                                 f"{intr.height} sensor")
 
 
 def flow_terms(intrinsics: CameraIntrinsics, velocity: VelocitySample,
@@ -89,6 +95,26 @@ def flow_terms(intrinsics: CameraIntrinsics, velocity: VelocitySample,
                     ((f * f + vp * vp) * wx - upvp * wy - f * up * wz) / f],
                    axis=-1)
     return trans, rot
+
+
+def flow_bound(intrinsics: CameraIntrinsics, velocity: VelocitySample,
+               d: float) -> float:
+    """An upper bound, in px/s, on either flow component at any pixel of
+    the sensor and any depth >= d; it also bounds each intermediate that
+    ``flow_terms`` computes.
+
+    It is taken in Python floats, so a flow beyond the float range reads
+    inf without a NumPy warning."""
+    f = float(intrinsics.f)
+    tx, ty, tz = (abs(float(x)) for x in velocity.linear)
+    wx, wy, wz = (abs(float(x)) for x in velocity.angular)
+    # every term grows with |u'| and |v'|, which peak at the sensor's edges
+    up = max(intrinsics.cu, intrinsics.width - 1 - intrinsics.cu)
+    vp = max(intrinsics.cv, intrinsics.height - 1 - intrinsics.cv)
+    trans = max(f * tx + up * tz, f * ty + vp * tz)
+    rot = max(up * vp * wx + (f * f + up * up) * wy + f * vp * wz,
+              (f * f + vp * vp) * wx + up * vp * wy + f * up * wz)
+    return trans / d + rot / f
 
 
 def _check_depth(d: float) -> None:

@@ -152,6 +152,9 @@ def _quantize_times(u_ref, v_ref, flow, dt, duration, jitter, rng, width, height
         if np.array_equal(new_vel, vel):
             break
         vel = new_vel
+    # a position beyond int64 lies off the sensor either way; clipped, it
+    # casts without overflow
+    np.clip(pos, -2.0 ** 52, 2.0 ** 52, out=pos)
     u = np.rint(pos[:, 0]).astype(np.int64)
     v = np.rint(pos[:, 1]).astype(np.int64)
     if jitter > 0:

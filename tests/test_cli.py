@@ -724,9 +724,14 @@ CAMERA = {"f": 200.0, "cu": 32.0, "cv": 32.0, "width": 64, "height": 64}
     ("velocity track", "# t\n0.0 1 0 0 0 0 nan\n", ":2: velocity sample"),
     ("velocity track", "0.1 1 0 0 0 0 0\n0.0 1 0 0 0 0 0\n",
      ": velocity track timestamps must be strictly increasing"),
-    ("velocity track", "# t tx ty tz wx wy wz\n", ": no velocity samples")],
+    ("velocity track", "# t tx ty tz wx wy wz\n", ": no velocity samples"),
+    ("velocity track", "0.0 1e307 0 0 0 0 0\n", ": velocity at t=0.0 gives "
+     "a flow beyond the float range on the 64x64 sensor\n"),
+    ("velocity track", "0.0 0 0 0 0 1e306 0\n", ": velocity at t=0.0 gives "
+     "a flow beyond the float range on the 64x64 sensor\n")],
     ids=["camera_not_object", "camera_null", "camera_list", "camera_fraction",
-         "track_word", "track_nan", "track_order", "track_empty"])
+         "track_word", "track_nan", "track_order", "track_empty",
+         "track_translation_overflows", "track_rotation_overflows"])
 def test_bad_camera_or_track_is_config_error_naming_file(
         dataset, tmp_path, capsys, what, text, after_path):
     bad = tmp_path / "bad_input"
@@ -861,6 +866,78 @@ def test_threads_is_not_a_flag_of_commands_without_a_sweep(command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "depth", "ablate"])
+@pytest.mark.parametrize("through_config", [False, True])
+def test_negative_seed_is_config_error(dataset, tmp_path, capsys, command,
+                                       through_config):
+    given = {"simulate": ["--scene", str(dataset / "scene.json"),
+                          "--camera", str(dataset / "camera.json"),
+                          "--track", str(dataset / "track.txt")],
+             "depth": [*inputs(dataset), *FAST],
+             "ablate": [*inputs(dataset), *FAST, "--levels", "0",
+                        "--truth", str(dataset / "sim" / "truth.pfm")]}
+    if through_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -3}))
+        seed, value = ["--config", str(config)], -3
+    else:
+        seed, value = ["--seed", "-1"], -1
+    rc = main([command, *given[command], "--out", str(tmp_path / "out"), *seed])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --seed must be >= 0, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_takes_no_seed(dataset, tmp_path):
+    # grading draws no random numbers; an old manifest holding a seed replays
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--seed", "1"])
+    assert exc.value.code == 2
+    assert run_depth(dataset, tmp_path / "depth") == 0
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps({"config": {
+        "pred": str(tmp_path / "depth"),
+        "truth": str(dataset / "sim" / "truth.pfm"), "seed": 1}}))
+    assert main(["eval", "--config", str(old)]) == 0
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
+def test_dmin_with_an_overflowing_flow_names_the_flag(dataset, tmp_path, capsys,
+                                                       command):
+    # the flow is finite at 1 m, and overflows at 1e-30 m
+    track = tmp_path / "track.txt"
+    track.write_text("0.0 1e280 0 0 0 0 0\n")
+    rc = main([command, "--events", str(dataset / "sim" / "events.txt"),
+               "--camera", str(dataset / "camera.json"), "--track", str(track),
+               "--out", str(tmp_path / "out"), *FAST, "--dmin", "1e-30",
+               *sweep_extra(command, dataset)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --dmin must be large enough that velocity track {track} "
+        f"gives a finite flow, got 1e-30\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_grades_the_maps_depth_writes(dataset, tmp_path, monkeypatch):
+    # at noise level 0, ablate and depth run the same sweep of each window
+    flags = [*inputs(dataset), *FAST, "--max-count", "800", "--seed", "5"]
+    assert main(["depth", *flags, "--out", str(tmp_path / "depth")]) == 0
+    evaluate, graded = cli.evaluate, []
+
+    def capturing_evaluate(pred, truth, **kwargs):
+        graded.append(pred)
+        return evaluate(pred, truth, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", capturing_evaluate)
+    assert main(["ablate", *flags, "--out", str(tmp_path / "ablate"),
+                 "--truth", str(dataset / "sim" / "truth.pfm"),
+                 "--levels", "0"]) == 0
+    written = sorted((tmp_path / "depth").glob("depth_*.pfm"))
+    assert len(written) == len(graded) > 1
+    for path, pred in zip(written, graded):
+        assert np.array_equal(pred.astype(np.float32), read_pfm(path)), path
 
 
 class TestEval:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from evdepth.cli import main
 from evdepth.events import load_events, make_events
 from evdepth.imgio import read_pfm, read_pgm, write_pfm, write_pgm
-from evdepth.motion import load_camera, load_track
+from evdepth.motion import CameraRig, load_camera, load_track
 from evdepth.synth import load_scene
 
 CAMERA = {"f": 20.0, "cu": 8.0, "cv": 8.0, "width": 16, "height": 16}
@@ -135,16 +135,18 @@ def depth_argv(paths, out):
             "--out", str(out), *DEPTH]
 
 
+def simulate_argv(paths, out):
+    return ["simulate", "--scene", str(paths["scene"]),
+            "--camera", str(paths["camera"]), "--track", str(paths["track"]),
+            "--out", str(out), "--duration", "0.05", "--events-per-edge", "2"]
+
+
 def test_valid_inputs_run():
     # the fuzzed files below start from files that work
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(Path(tmp))
         assert run(depth_argv(paths, Path(tmp) / "depth")) == (0, "")
-        assert run(["simulate", "--scene", str(paths["scene"]),
-                    "--camera", str(paths["camera"]),
-                    "--track", str(paths["track"]),
-                    "--out", str(Path(tmp) / "sim"), "--duration", "0.05",
-                    "--events-per-edge", "2"]) == (0, "")
+        assert run(simulate_argv(paths, Path(tmp) / "sim")) == (0, "")
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,10 +167,19 @@ def test_binary_events(data):
 
 @settings(max_examples=150, deadline=None)
 @given(mutations(TRACK.encode()) | text_rows(NUMBER_TOKENS, 7))
+@example(b"0.0 1e307 0 0 0 0 0\n")      # the translation overflows the flow
+@example(b"0.0 0 0 0 0 1e306 0\n")      # the rotation does
+@example(b"0.0 1e21 0 0 0 0 0\n")       # events land beyond int64's range
 def test_track(data):
+    # simulate and depth both check the track against the camera
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(Path(tmp), track=data)
-        check(load_track, paths["track"], depth_argv(paths, Path(tmp) / "out"))
+
+        def load_rig(path):
+            return CameraRig(load_camera(paths["camera"]), load_track(path))
+
+        check(load_rig, paths["track"], depth_argv(paths, Path(tmp) / "out"))
+        check(load_rig, paths["track"], simulate_argv(paths, Path(tmp) / "sim"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,11 +203,7 @@ def test_camera(data):
 def test_scene(data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(Path(tmp), scene=data)
-        check(load_scene, paths["scene"],
-              ["simulate", "--scene", str(paths["scene"]),
-               "--camera", str(paths["camera"]), "--track", str(paths["track"]),
-               "--out", str(Path(tmp) / "out"), "--duration", "0.05",
-               "--events-per-edge", "2"])
+        check(load_scene, paths["scene"], simulate_argv(paths, Path(tmp) / "out"))
 
 
 @settings(max_examples=150, deadline=None)

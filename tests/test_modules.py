@@ -1,6 +1,7 @@
 """Module boundaries, read from the source: IHCA is pure NumPy, sets no
 pixel flag and reads no scale-weight default, the pool knows nothing of
-depth, and the pipeline leaves processes to the pool."""
+depth, the pipeline leaves processes to the pool, and the command line
+runs each job through one path."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,12 @@ def test_pool_imports_nothing_from_evdepth():
 
 def test_costvol_leaves_processes_to_the_pool():
     assert not imported("costvol") & {"multiprocessing", "mmap", "threading"}
+
+
+def test_cli_runs_each_job_through_one_call():
+    # one sweep loop, one grading call, one directory maker
+    calls = [node.func for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+             if isinstance(node, ast.Call)]
+    names = [f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+             for f in calls]
+    assert [names.count(n) for n in ("estimate_depth", "evaluate", "mkdir")] == [1, 1, 1]

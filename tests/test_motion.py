@@ -6,9 +6,11 @@ import pytest
 from evdepth.events import EventWindow, make_events
 from evdepth.motion import (
     CameraIntrinsics,
+    CameraRig,
     EventWarp,
     VelocitySample,
     average_velocity_norms,
+    flow_bound,
     inject_velocity_noise,
     interpolate_velocity,
     load_camera,
@@ -258,6 +260,42 @@ class TestIntrinsics:
 
     def test_resolution_order(self):
         assert CENTER.resolution == (21, 21)
+
+
+class TestRig:
+    def test_flow_bound_bounds_the_field(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            v = vel(linear=tuple(rng.normal(size=3)),
+                    angular=tuple(rng.normal(size=3)))
+            for d in (0.5, 1.0, 7.0):
+                bound = flow_bound(CENTER, v, d)
+                for depth in (d, 2 * d):
+                    assert np.abs(motion_field(CENTER, v, depth)).max() <= bound
+
+    @pytest.mark.parametrize("intrinsics, velocity", [
+        (CENTER, vel(linear=(1e307, 0.0, 0.0))),
+        (CENTER, vel(linear=(0.0, 0.0, 1e308))),
+        (CENTER, vel(angular=(0.0, 1e306, 0.0))),
+        # a finite numerator over a tiny focal length
+        (CameraIntrinsics(f=1e-300, cu=10.0, cv=10.0, width=21, height=21),
+         vel(angular=(1e10, 0.0, 0.0)))],
+        ids=["tx", "tz", "wy", "tiny_focal_length"])
+    def test_flow_beyond_float_range_rejected(self, intrinsics, velocity):
+        track = (vel(t=-1.0), velocity)
+        with pytest.raises(ValueError, match=r"^velocity at t=0\.0 gives a flow "
+                           r"beyond the float range on the 21x21 sensor$"):
+            CameraRig(intrinsics, track)
+
+    def test_benchmark_tracks_accepted(self):
+        # 10 m/s sideways on the DAVIS-size sensors, f = 200
+        for width, height in ((240, 180), (346, 260)):
+            intr = CameraIntrinsics(f=200.0, cu=width / 2, cv=height / 2,
+                                    width=width, height=height)
+            track = tuple(vel(linear=(10.0, 0.0, 0.0), t=t) for t in (0.0, 0.1))
+            assert flow_bound(intr, track[0], 2.0) == 1000.0
+            CameraRig(intr, track)
+        CameraRig(CENTER, (vel(linear=(1e300, 0.0, 0.0)),))
 
 
 class TestFileFormats:
