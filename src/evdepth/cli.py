@@ -346,7 +346,8 @@ def _depth_maps(args, rig, windows, hyp, sweep, agg, level, level_index,
                 trial, where):
     """Yield ``(i, window, depth_map, summary, seconds)`` per window, under
     velocity noise ``level`` > 0 of the window's mean velocity norms.  A
-    MemoryError names the window, after ``where``."""
+    MemoryError, or a level whose noisy velocity overflows the flow, names
+    the window, after ``where``."""
     for i, window in enumerate(windows):
         t0 = time.perf_counter()
         t_first = float(window.events["t"][0])
@@ -354,8 +355,17 @@ def _depth_maps(args, rig, windows, hyp, sweep, agg, level, level_index,
         if level > 0:
             norms = average_velocity_norms(rig.track, t_first, window.t_ref)
             seed = np.random.SeedSequence([args.seed, level_index, i, trial])
-            vel = inject_velocity_noise(vel, level, int(seed.generate_state(1)[0]),
-                                        *norms)
+            try:          # a component beyond the float range is a ValueError
+                vel = inject_velocity_noise(
+                    vel, level, int(seed.generate_state(1)[0]), *norms)
+                finite = flow_bound(rig.intrinsics, vel, args.dmin) < np.inf
+            except ValueError:
+                finite = False
+            if not finite:
+                flag = "--noise" if args.command == "depth" else "--levels"
+                raise ConfigError(f"{flag} must be small enough that the "
+                                  f"velocity of {where}window {i} gives a "
+                                  f"finite flow, got {level}")
         try:
             depth_map, summary = estimate_depth(window, rig.intrinsics, vel,
                                                 hyp, sweep, agg)

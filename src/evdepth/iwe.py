@@ -2,8 +2,10 @@
 
 Accumulation counts unit event mass per pixel.  Bilinear splatting is the
 default because the sub-pixel warp offsets carry the focus signal; nearest
-rounding quantizes it away.  Pyramids use 2x2 block sums so event mass is
-conserved at every scale.
+rounding quantizes it away.  Nearest splatting rounds the coordinates and
+runs the same bilinear kernel, which then puts each event's whole mass on
+one pixel.  Pyramids use 2x2 block sums so event mass is conserved at every
+scale.
 """
 from __future__ import annotations
 
@@ -30,53 +32,45 @@ def accumulate(warped: np.ndarray, resolution: tuple[int, int],
     """Splat warped (x, y) coordinates onto a (height, width) grid.
 
     Each in-bounds event contributes unit mass (or its entry of ``weights``);
-    out-of-bounds events are dropped and tallied.  With bilinear splatting an
-    event is in bounds when all four neighbor pixels exist.
+    out-of-bounds events are dropped and tallied.  An event is in bounds
+    when all four neighbor pixels of its (for ``nearest``, rounded)
+    coordinates exist; a NaN or infinite coordinate is out of bounds.
     """
     w, h = resolution
     if w < 1 or h < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
+    if splat == "nearest":
+        warped = np.rint(warped)          # fractional parts 0: one corner
+    elif splat != "bilinear":
+        raise ValueError(f"unknown splat mode {splat!r}")
     x, y = warped[:, 0], warped[:, 1]
     n = x.shape[0]
 
-    if splat == "nearest":
-        xi = np.rint(x).astype(np.int64)
-        yi = np.rint(y).astype(np.int64)
-        ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        wts = np.ones(n, dtype=np.float64) if weights is None else weights
-        grid = np.zeros(h * w, dtype=np.float64)
-        grid += np.bincount(yi[ok] * w + xi[ok], weights=wts[ok], minlength=h * w)
-        kept = int(ok.sum())
-    elif splat == "bilinear":
-        ok = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-        if ok.all():                      # the usual case: nothing to drop
-            xk, yk, wts = x, y, weights
-        else:
-            xk, yk = x[ok], y[ok]
-            wts = None if weights is None else weights[ok]
-        x0 = xk.astype(np.int64)          # truncation is floor for x >= 0
-        y0 = yk.astype(np.int64)
-        fx, fy = xk - x0, yk - y0
-        gx, gy = 1 - fx, 1 - fy
-        # A grid padded by one row and column takes the far corner of
-        # x == w-1 or y == h-1 (weight 0) unclamped, and is sliced off.  One
-        # flat index stepped +1, +w, +1 visits the four corners in order.
-        size = (h + 1) * (w + 1)
-        idx = y0 * (w + 1) + x0
-        padded = np.zeros(size, dtype=np.float64)
-        for step, wx, wy in ((0, gx, gy), (1, fx, gy), (w, gx, fy), (1, fx, fy)):
-            if step:
-                idx += step
-            ww = wx * wy
-            if wts is not None:
-                ww *= wts
-            padded += np.bincount(idx, weights=ww, minlength=size)
-        grid = np.ascontiguousarray(padded.reshape(h + 1, w + 1)[:h, :w])
-        kept = xk.shape[0]
+    ok = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    if ok.all():                          # the usual case: nothing to drop
+        xk, yk, wts = x, y, weights
     else:
-        raise ValueError(f"unknown splat mode {splat!r}")
-
-    return Iwe(grid=grid.reshape(h, w), discarded=n - kept)
+        xk, yk = x[ok], y[ok]
+        wts = None if weights is None else weights[ok]
+    x0 = xk.astype(np.int64)              # truncation is floor for x >= 0
+    y0 = yk.astype(np.int64)
+    fx, fy = xk - x0, yk - y0
+    gx, gy = 1 - fx, 1 - fy
+    # A grid padded by one row and column takes the far corner of x == w-1
+    # or y == h-1 (weight 0) unclamped, and is sliced off.  One flat index
+    # stepped +1, +w, +1 visits the four corners in order.
+    size = (h + 1) * (w + 1)
+    idx = y0 * (w + 1) + x0
+    padded = np.zeros(size, dtype=np.float64)
+    for step, wx, wy in ((0, gx, gy), (1, fx, gy), (w, gx, fy), (1, fx, fy)):
+        if step:
+            idx += step
+        ww = wx * wy
+        if wts is not None:
+            ww *= wts
+        padded += np.bincount(idx, weights=ww, minlength=size)
+    grid = np.ascontiguousarray(padded.reshape(h + 1, w + 1)[:h, :w])
+    return Iwe(grid=grid, discarded=n - xk.shape[0])
 
 
 def block_sum(grid: np.ndarray) -> np.ndarray:

@@ -233,8 +233,9 @@ def inject_velocity_noise(velocity: VelocitySample, level: float, seed: int,
     w_norm = float(np.linalg.norm(velocity.angular)) if angular_norm is None else angular_norm
     rng = np.random.Generator(np.random.Philox(key=seed))
     noise = rng.standard_normal(6)
-    lin = np.asarray(velocity.linear) + level * t_norm * noise[:3]
-    ang = np.asarray(velocity.angular) + level * w_norm * noise[3:]
+    with np.errstate(over="ignore"):     # inf fails the sample's own check
+        lin = np.asarray(velocity.linear) + level * t_norm * noise[:3]
+        ang = np.asarray(velocity.angular) + level * w_norm * noise[3:]
     return VelocitySample(t=velocity.t, linear=tuple(lin), angular=tuple(ang))
 
 

@@ -3,11 +3,11 @@
 Events are generated geometrically: texture edges are sampled at integer
 image rows, and each sample emits events along the pixel trajectory its
 true depth induces over the window.  Event times are drawn uniformly and
-then snapped to the instants where the trajectory crosses an integer pixel
-on its dominant flow axis, so the stream satisfies the integer-coordinate
-event contract while warping at the true depth still collapses every
-trajectory exactly (for axis-aligned flow; general flows collapse to
-within rounding of the off-axis coordinate).
+then snapped to the instants where the trajectory crosses an integer
+column: every edge is vertical, so it fires where it crosses one, whatever
+the motion.  The stream meets the integer-coordinate event contract, and
+warping at the true depth collapses each trajectory of uniform flow
+exactly in x and to within rounding in y.
 
 The module doubles as the brute-force oracle: it knows where every event
 came from, so it can score any pipeline configuration against the truth.
@@ -121,13 +121,14 @@ def load_scene(path) -> SceneSpec:
 
 
 def _quantize_times(u_ref, v_ref, flow, dt, duration, jitter, rng, width, height):
-    """Snap uniformly drawn offsets onto integer-pixel trajectory crossings.
+    """Snap uniformly drawn offsets onto integer-column trajectory crossings.
 
-    Events land on integer pixels at the instants the trajectory from
+    Events land on integer columns at the instants the trajectory from
     (``u_ref``, ``v_ref``) crosses them, so the warp at the true depth
-    recovers the reference point exactly.  Returns integer event pixels, the
-    resolved time offsets (<= 0), and a keep mask for events that stay
-    inside the sensor and the window.
+    recovers the reference column exactly and the reference row to within
+    rounding.  Returns integer event pixels, the resolved time offsets
+    (<= 0), and a keep mask for events that stay inside the sensor and the
+    window.
     """
     n = dt.shape[0]
     lookup_u = min(max(int(round(u_ref)), 0), width - 1)
@@ -136,15 +137,10 @@ def _quantize_times(u_ref, v_ref, flow, dt, duration, jitter, rng, width, height
                     np.full(n, v_ref, dtype=np.float64)], axis=1)
     ref = pos[0].copy()
     for _ in range(4):
-        speed = np.abs(vel)
-        if speed.max() == 0:
-            break
-        axis = (speed[:, 1] > speed[:, 0]).astype(np.int64)
-        rows = np.arange(n)
-        va = vel[rows, axis]
-        moving = va != 0
-        snapped = np.rint(ref[axis] - va * dt)
-        dt = np.where(moving, (ref[axis] - snapped) / np.where(moving, va, 1.0), dt)
+        vx = vel[:, 0]
+        moving = vx != 0
+        snapped = np.rint(ref[0] - vx * dt)
+        dt = np.where(moving, (ref[0] - snapped) / np.where(moving, vx, 1.0), dt)
         pos = ref[None, :] - vel * dt[:, None]
         pix_u = np.clip(np.rint(pos[:, 0]), 0, width - 1).astype(np.int64)
         pix_v = np.clip(np.rint(pos[:, 1]), 0, height - 1).astype(np.int64)
@@ -152,14 +148,16 @@ def _quantize_times(u_ref, v_ref, flow, dt, duration, jitter, rng, width, height
         if np.array_equal(new_vel, vel):
             break
         vel = new_vel
-    # a position beyond int64 lies off the sensor either way; clipped, it
-    # casts without overflow
+    # a position or jitter beyond int64 lies off the sensor either way;
+    # clipped, it casts without overflow
     np.clip(pos, -2.0 ** 52, 2.0 ** 52, out=pos)
     u = np.rint(pos[:, 0]).astype(np.int64)
     v = np.rint(pos[:, 1]).astype(np.int64)
     if jitter > 0:
-        u = u + np.rint(rng.normal(0.0, jitter, size=n)).astype(np.int64)
-        v = v + np.rint(rng.normal(0.0, jitter, size=n)).astype(np.int64)
+        shift = np.rint(rng.normal(0.0, jitter, size=(2, n)))
+        np.clip(shift, -2.0 ** 52, 2.0 ** 52, out=shift)
+        u = u + shift[0].astype(np.int64)
+        v = v + shift[1].astype(np.int64)
     keep = ((u >= 0) & (u < width) & (v >= 0) & (v < height)
             & (dt <= 0) & (dt >= -duration))
     return u, v, dt, keep

@@ -920,6 +920,18 @@ def test_dmin_with_an_overflowing_flow_names_the_flag(dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, where", [
+    ("depth", "--noise", ""), ("ablate", "--levels", "noise 1e+308 trial 0 ")])
+def test_overflowing_noise_names_the_flag_and_window(dataset, tmp_path, capsys,
+                                                     command, flag, where):
+    rc = main([command, *inputs(dataset), "--out", str(tmp_path / "out"),
+               *FAST, *sweep_extra(command, dataset), flag, "1e308"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be small enough that the velocity of {where}"
+        f"window 0 gives a finite flow, got 1e+308\n")
+
+
 def test_ablate_grades_the_maps_depth_writes(dataset, tmp_path, monkeypatch):
     # at noise level 0, ablate and depth run the same sweep of each window
     flags = [*inputs(dataset), *FAST, "--max-count", "800", "--seed", "5"]

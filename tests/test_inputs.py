@@ -206,6 +206,31 @@ def test_scene(data):
         check(load_scene, paths["scene"], simulate_argv(paths, Path(tmp) / "out"))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["--noise", "--levels", "--jitter"]),
+       st.floats(min_value=0.0, allow_infinity=False))
+@example("--noise", 1e308)        # the noisy velocity's flow overflows
+@example("--levels", 1e308)
+@example("--jitter", 1e30)        # the jitter draw is beyond int64's range
+def test_noise_level(flag, value):
+    # any finite level runs or exits 1 or 2 with one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = inputs(Path(tmp))
+        out = Path(tmp) / "out"
+        if flag == "--jitter":
+            argv = simulate_argv(paths, out)
+        elif flag == "--noise":
+            argv = depth_argv(paths, out)
+        else:
+            truth = Path(tmp) / "truth.pfm"
+            write_pfm(truth, np.full((16, 16), 10.0))
+            argv = ["ablate", *depth_argv(paths, out)[1:], "--truth", str(truth)]
+        rc, err = run([*argv, flag, repr(value)])
+        assert rc in (0, 1, 2), err
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @settings(max_examples=150, deadline=None)
 @given(pfm_bytes(), st.booleans())
 @example(b"Pf\n2 2\n-1.0\n" + np.array([1.0, 2.0, 3.0], "<f4").tobytes()

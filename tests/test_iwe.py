@@ -145,6 +145,56 @@ class TestBilinearReference:
         assert np.array_equal(more.grid, inside.grid)
 
 
+def nearest_splat(warped, resolution, weights=None):
+    """Reference nearest splat, the kernel ``accumulate`` once ran for it:
+    round to integers, bounds-test those, one flat ``bincount``."""
+    w, h = resolution
+    xi = np.rint(warped[:, 0]).astype(np.int64)
+    yi = np.rint(warped[:, 1]).astype(np.int64)
+    ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+    wts = np.ones(xi.shape[0]) if weights is None else weights
+    grid = np.zeros(h * w)
+    grid += np.bincount(yi[ok] * w + xi[ok], weights=wts[ok], minlength=h * w)
+    return grid.reshape(h, w), int(xi.shape[0] - ok.sum())
+
+
+class TestNearestReference:
+    """Nearest rounds, then runs the bilinear kernel: each rounded event has
+    fractional parts 0, and the grid equals a flat count bit for bit."""
+
+    @staticmethod
+    def points(rng, w, h, n):
+        pts = TestBilinearReference.points(rng, w, h, n)
+        half = rng.integers(0, 4, n) == 0          # half-pixel coordinates,
+        pts[half] = np.floor(pts[half]) + 0.5      # out to -1.5 and w + 0.5
+        return pts
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_flat_count(self, weighted):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            w, h = (int(k) for k in rng.integers(1, 24, size=2))
+            n = int(rng.integers(0, 300))
+            pts = self.points(rng, w, h, n)
+            if trial % 2:
+                pts = np.ascontiguousarray(pts.T).T     # the warp's layout
+            # negative weights, as the time offsets ``sti`` splats
+            weights = -rng.uniform(0, 0.1, n) if weighted else None
+            out = accumulate(pts, (w, h), splat="nearest", weights=weights)
+            grid, discarded = nearest_splat(pts, (w, h), weights)
+            assert np.array_equal(out.grid, grid)
+            assert out.discarded == discarded
+            assert out.grid.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_is_discarded(self, bad):
+        # the bounds test drops it before any int64 cast, which would warn
+        warped = np.array([[bad, 2.0], [2.0, bad], [1.0, 1.0]])
+        out = accumulate(warped, resolution=(4, 4), splat="nearest")
+        assert out.discarded == 2
+        assert out.grid[1, 1] == 1.0 and out.mass == 1.0
+
+
 class TestAccumulateGeneral:
     def test_empty_input(self):
         out = accumulate(np.empty((0, 2)), resolution=(4, 4), splat="nearest")

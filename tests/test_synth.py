@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from evdepth.costvol import (AggregationConfig, SweepConfig,
+from evdepth.costvol import (AggregationConfig, SweepConfig, estimate_depth,
                              inverse_depth_hypotheses)
 from evdepth.focus import FocusConfig
-from evdepth.motion import (CameraIntrinsics, CameraRig, VelocitySample,
-                            interpolate_velocity)
+from evdepth.motion import (CameraIntrinsics, CameraRig, EventWarp,
+                            VelocitySample, interpolate_velocity)
 from evdepth.synth import (SceneSpec, event_pixel_mask, generate, load_scene,
                            oracle_depth_error, save_scene, trajectory_spread)
 
@@ -206,6 +206,49 @@ class TestGenerate:
             generate(PLANE, RIG, duration=0.0, events_per_edge=5, seed=0)
         with pytest.raises(ValueError):
             generate(PLANE, RIG, duration=0.1, events_per_edge=0, seed=0)
+
+
+class TestObliqueMotion:
+    """Motion (0.6, 0.8) runs mostly along the vertical edges.  Each edge
+    still fires where it crosses a column, so the stream encodes the true
+    depth in x."""
+
+    INTR = CameraIntrinsics(f=200.0, cu=120.0, cv=90.0, width=240, height=180)
+    TRACK = (VelocitySample(t=0.0, linear=(0.6, 0.8, 0.0),
+                            angular=(0.0, 0.0, 0.0)),)
+    SCENE = SceneSpec(kind="plane", depths=(10.0,), edge_spacing=12)
+
+    def window(self):
+        rig = CameraRig(intrinsics=self.INTR, track=self.TRACK)
+        return generate(self.SCENE, rig, duration=0.1, events_per_edge=20,
+                        seed=1, t_ref=0.1)
+
+    def test_events_snap_to_columns_of_their_edge(self):
+        win, truth = self.window()
+        # trajectory ids run row by row within each edge column
+        edge = self.SCENE.edge_columns(240)[truth.event_trajectory // 180]
+        # the edge moves 1.2 px in x over the window
+        assert set(np.unique(edge - win.events["u"]).tolist()) <= {0, 1}
+        vel = interpolate_velocity(self.TRACK, 0.0, 0.1)
+        warped = EventWarp(win, self.INTR, vel)(10.0)
+        np.testing.assert_allclose(warped[:, 0], edge, rtol=0, atol=1e-9)
+
+    def test_depth_on_the_mask_is_the_plane_depth(self):
+        # a stream snapped on the dominant flow axis (y) encodes 7.5 m
+        win, truth = self.window()
+        vel = interpolate_velocity(self.TRACK, 0.0, 0.1)
+        sweep = SweepConfig(
+            focus=FocusConfig(weights=(1.0, 1.0, 1.0, 1.0, 1.0, 0.0)),
+            num_scales=1)
+        agg = AggregationConfig()
+        depth_map, _ = estimate_depth(win, self.INTR, vel,
+                                      inverse_depth_hypotheses(2.0, 50.0, 61),
+                                      sweep, agg)
+        mask = event_pixel_mask(win, self.INTR, vel, truth,
+                                sweep.focus.window_radius, agg.min_support)
+        graded = mask & depth_map.valid
+        assert graded.sum() > 1000
+        assert abs(np.median(depth_map.depth[graded]) - 10.0) <= 0.2
 
 
 class TestEventPixelMask:
