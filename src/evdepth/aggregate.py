@@ -167,58 +167,51 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg, weights,
     pixel's support is the mass of its winner's IWE in the ``side`` x
     ``side`` window around it.
 
-    The rows are aggregated a sub-band at a time (see ``_BAND_BYTES``).
-    Every step reduces over hypotheses one pixel at a time, in the order
-    of filtering, fusing and reading out whole volumes, so the maps are
-    bitwise theirs whatever the bands, sub-bands and blocks.  The fused
-    curves are stored in place of the sub-band's level 0, a block at a
-    time; the readout keeps a running winner and the curve sum, and then
-    reads the winner's neighbours from the fused curves and support from
-    its IWE.  ``release`` is called twice per sub-band: between the two
-    reads, once its score volumes are done with, and once its maps are
-    written.
+    The rows are aggregated a sub-band ``a..b-1`` at a time (see
+    ``_BAND_BYTES``).  Every step reduces over hypotheses one pixel at a
+    time, in the order of filtering, fusing and reading out whole volumes,
+    so the maps are bitwise theirs whatever the bands, sub-bands and
+    blocks.  The fused curves are stored in place of the sub-band's level
+    0, a block at a time; the readout keeps a running winner and the curve
+    sum, and then reads the winner's neighbours from the fused curves and
+    support from its IWE.  ``release`` is called twice per sub-band:
+    between the two reads, once its score volumes are done with, and once
+    its maps are written.
     """
+    d, _, w = out.iwe.shape
     group = 2 ** (len(out.scores) - 1)
     group_bytes = sum(len(s) * (group >> k) * s.shape[2] * s.itemsize
                       for k, s in enumerate(out.scores))
     rows = group * max(1, _BAND_BYTES // group_bytes)
     for a in range(r0, r1, rows):
-        _aggregate_rows(out, a, min(a + rows, r1), inverse, agg, weights,
-                        side, release)
+        b = min(a + rows, r1)
+        levels, divisors = [], []
+        for k, scores in enumerate(out.scores):
+            band = scores[:, a >> k:-(-b // 2 ** k)]
+            divisors.append(_divisor(_trend_filter_inplace(
+                band, agg.trend_iterations, agg.peak_alpha,
+                _block_slices(band.shape[1:]))))
+            levels.append(band)
 
+        total = np.zeros((b - a, w))  # 0.0 + s is s: no fused value is -0.0
+        best = np.full((b - a, w), -np.inf)
+        idx = np.zeros((b - a, w), dtype=np.int64)
+        step = _block_slices((b - a, w))
+        for c in range(0, d, step):
+            f = _fuse_block([level[c:c + step] for level in levels],
+                            divisors, weights)
+            for j, s in enumerate(f, start=c):
+                total += s            # the curve sum, in hypothesis order
+                new = s > best        # strict: the first maximum wins ties
+                np.copyto(best, s, where=new)
+                np.copyto(idx, j, where=new)
+        # the winner's neighbours in the fused curves, clamped at the ends
+        lo, hi = (np.take_along_axis(levels[0], j[None], axis=0)[0] for j
+                  in (np.maximum(idx - 1, 0), np.minimum(idx + 1, d - 1)))
+        release()
 
-def _aggregate_rows(out, r0, r1, inverse, agg, weights, side,
-                    release) -> None:
-    """``_aggregate_band`` of one sub-band, rows ``r0..r1-1``."""
-    d, _, w = out.iwe.shape
-    h = r1 - r0
-    levels, divisors = [], []
-    for k, scores in enumerate(out.scores):
-        band = scores[:, r0 >> k:-(-r1 // 2 ** k)]
-        divisors.append(_divisor(_trend_filter_inplace(
-            band, agg.trend_iterations, agg.peak_alpha,
-            _block_slices(band.shape[1:]))))
-        levels.append(band)
-
-    total = np.zeros((h, w))          # 0.0 + s is s: no fused value is -0.0
-    best = np.full((h, w), -np.inf)
-    idx = np.zeros((h, w), dtype=np.int64)
-    step = _block_slices((h, w))
-    for a in range(0, d, step):
-        f = _fuse_block([level[a:a + step] for level in levels], divisors,
-                        weights)
-        for j, s in enumerate(f, start=a):
-            total += s                # the curve sum, in hypothesis order
-            new = s > best            # strict: the first maximum wins ties
-            np.copyto(best, s, where=new)
-            np.copyto(idx, j, where=new)
-    # the winner's neighbours in the fused curves, clamped at the ends
-    lo, hi = (np.take_along_axis(levels[0], j[None], axis=0)[0]
-              for j in (np.maximum(idx - 1, 0), np.minimum(idx + 1, d - 1)))
-    release()
-
-    out.depth[r0:r1], out.confidence[r0:r1] = _readout(
-        idx, best, lo, hi, total / d, _support_at(out.iwe, idx, r0, side),
-        inverse, agg.min_support)
-    out.winner[r0:r1] = idx
-    release()
+        out.depth[a:b], out.confidence[a:b] = _readout(
+            idx, best, lo, hi, total / d, _support_at(out.iwe, idx, a, side),
+            inverse, agg.min_support)
+        out.winner[a:b] = idx
+        release()

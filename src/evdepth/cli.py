@@ -273,6 +273,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--events-per-edge must be >= 1, got {args.events_per_edge}")
     scene = _parse_input(load_scene, args.scene, "scene spec")
     rig = _load_rig(args)
+    t_ref = rig.track[-1].t
+    try:
+        interpolate_velocity(rig.track, t_ref - args.duration, t_ref)
+    except ValueError as exc:
+        raise ConfigError(f"--duration must be small enough that velocity "
+                          f"track {args.track} has a finite average over "
+                          f"it, got {args.duration}") from exc
     try:
         window, truth = generate(scene, rig, args.duration,
                                  args.events_per_edge, seed=args.seed,
@@ -346,14 +353,21 @@ def _depth_maps(args, rig, windows, hyp, sweep, agg, level, level_index,
                 trial, where):
     """Yield ``(i, window, depth_map, summary, seconds)`` per window, under
     velocity noise ``level`` > 0 of the window's mean velocity norms.  A
-    MemoryError, or a level whose noisy velocity overflows the flow, names
-    the window, after ``where``."""
+    MemoryError, a span too long to average the velocity over, or a level
+    whose noisy velocity overflows the flow, names the window, after
+    ``where``."""
     for i, window in enumerate(windows):
         t0 = time.perf_counter()
         t_first = float(window.events["t"][0])
-        vel = interpolate_velocity(rig.track, t_first, window.t_ref)
+        try:
+            vel = interpolate_velocity(rig.track, t_first, window.t_ref)
+            if level > 0:
+                norms = average_velocity_norms(rig.track, t_first, window.t_ref)
+        except ValueError as exc:
+            raise ConfigError(f"velocity track {args.track} over {where}window "
+                              f"{i} of event stream {args.events}: {exc}"
+                              ) from exc
         if level > 0:
-            norms = average_velocity_norms(rig.track, t_first, window.t_ref)
             seed = np.random.SeedSequence([args.seed, level_index, i, trial])
             try:          # a component beyond the float range is a ValueError
                 vel = inject_velocity_noise(

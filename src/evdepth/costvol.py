@@ -206,32 +206,24 @@ def _window_arrays(layout, buffer) -> _WindowArrays:
     return _WindowArrays(arrays[:n], *arrays[n:])
 
 
-def _sweep_into(out, window, intrinsics, velocity, depths, lo, hi, config,
-                release):
-    """Score hypotheses ``lo..hi-1`` into the window arrays ``out``: the
-    per-scale score volumes, then the IWE and discarded tally.  Calls
-    ``release`` once each hypothesis's arrays are written."""
+def _sweep_task(layout, window, intrinsics, velocity, depths, hyps, rows,
+                sweep, agg, buffer, release):
+    """A ``run_window`` task: write the per-scale score volumes, the IWE
+    and the discarded tally of the hypothesis range ``hyps`` into the
+    window's arrays in ``buffer``, calling ``release`` after each
+    hypothesis, and return the step that aggregates band ``rows`` under
+    the sweep's scale weights, equal if None."""
+    out = _window_arrays(layout, buffer)
     warp = EventWarp(window, intrinsics, velocity)
-    for j in range(lo, hi):
+    for j in range(*hyps):
         iwe = accumulate(warp(depths[j]), intrinsics.resolution,
-                         splat=config.splat)
-        levels = build_pyramid(iwe.grid, config.num_scales)
+                         splat=sweep.splat)
+        levels = build_pyramid(iwe.grid, sweep.num_scales)
         for k, grid in enumerate(levels):
-            volume_score_map(grid, config.focus, out=out.scores[k][j])
+            volume_score_map(grid, sweep.focus, out=out.scores[k][j])
         out.iwe[j] = iwe.grid
         out.discarded[j] = iwe.discarded
         release()
-
-
-def _sweep_task(layout, window, intrinsics, velocity, depths, hyps, rows,
-                sweep, agg, buffer, release):
-    """A ``run_window`` task: sweep the hypothesis range ``hyps`` into the
-    window's arrays in ``buffer``, and return the step that aggregates band
-    ``rows`` under the sweep's scale weights, equal if None; both steps
-    call ``release`` when done with the pages so far."""
-    out = _window_arrays(layout, buffer)
-    _sweep_into(out, window, intrinsics, velocity, depths, *hyps, sweep,
-                release)
     weights = (np.ones(sweep.num_scales) if sweep.scale_weights is None
                else np.asarray(sweep.scale_weights, dtype=np.float64))
     return partial(_aggregate_band, out, *rows, 1.0 / depths, agg, weights,

@@ -41,7 +41,7 @@ def check_stream(events: np.ndarray, width: int | None = None,
         i = int(bad[0])
         raise ValueError(f"event {i} has a non-finite timestamp {t[i]!r}")
     if t.size > 1:
-        bad = np.nonzero(np.diff(t) < 0)[0]
+        bad = np.nonzero(t[1:] < t[:-1])[0]      # a difference may overflow
         if bad.size:
             i = int(bad[0]) + 1
             raise ValueError(
@@ -82,9 +82,10 @@ class EventWindow:
     def from_events(events: np.ndarray) -> "EventWindow":
         if len(events) == 0:
             raise ValueError("cannot form a window from zero events")
-        t = events["t"]
-        return EventWindow(events=events, t_ref=float(t[-1]),
-                           t_span=float(t[-1] - t[0]))
+        t_ref = float(events["t"][-1])
+        # in Python floats, a span beyond the float range is inf, unwarned
+        return EventWindow(events=events, t_ref=t_ref,
+                           t_span=t_ref - float(events["t"][0]))
 
 
 def form_windows(stream: np.ndarray, max_count: int,
@@ -111,7 +112,9 @@ def form_windows(stream: np.ndarray, max_count: int,
     start = 0
     while start < n:
         # Last index still inside the time bound, then the count bound.
-        end = int(np.searchsorted(t, t[start] + max_interval, side="right"))
+        # (in Python floats, so that a bound past the float range is inf)
+        end = int(np.searchsorted(t, float(t[start]) + max_interval,
+                                  side="right"))
         end = min(end, start + max_count, n)
         windows.append(EventWindow.from_events(stream[start:end]))
         start = end

@@ -174,7 +174,8 @@ def _track_arrays(track) -> tuple[np.ndarray, np.ndarray]:
 
 def interpolate_velocity(track, t_a: float, t_b: float) -> VelocitySample:
     """Component-wise time-average over [t_a, t_b] of the piecewise-linear
-    interpolant; outside the track the nearest sample is held constant."""
+    interpolant; outside the track the nearest sample is held constant.
+    An average beyond the float range is a ValueError."""
     if len(track) == 0:
         raise ValueError("velocity track is empty")
     if t_b < t_a:
@@ -186,11 +187,21 @@ def interpolate_velocity(track, t_a: float, t_b: float) -> VelocitySample:
         inner = ts[(ts > t_a) & (ts < t_b)]
         grid = np.concatenate(([t_a], inner, [t_b]))
         avg = np.empty(6)
-        for k in range(6):
-            y = np.interp(grid, ts, vals[:, k])
-            avg[k] = np.trapezoid(y, grid) / (t_b - t_a)
-    t_mid = 0.5 * (t_a + t_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(6):
+                y = np.interp(grid, ts, vals[:, k])
+                avg[k] = np.trapezoid(y, grid) / (t_b - t_a)
+            _check_average(avg, t_a, t_b)
+    t_mid = 0.5 * t_a + 0.5 * t_b       # (t_a + t_b) may overflow
     return VelocitySample(t=t_mid, linear=tuple(avg[:3]), angular=tuple(avg[3:]))
+
+
+def _check_average(avg, t_a, t_b) -> None:
+    """Reject averages over [t_a, t_b] that are not finite, or an interval
+    longer than the float range, over which every average reads 0."""
+    if not (t_b - t_a < np.inf and np.isfinite(avg).all()):
+        raise ValueError(f"the velocity average over [{t_a!r}, {t_b!r}] "
+                         f"is beyond the float range")
 
 
 def average_velocity_norms(track, t_a: float, t_b: float,
@@ -203,16 +214,21 @@ def average_velocity_norms(track, t_a: float, t_b: float,
     if len(track) == 0:
         raise ValueError("velocity track is empty")
     ts, vals = _track_arrays(track)
-    if t_a == t_b:
-        at = np.array([np.interp(t_a, ts, vals[:, k]) for k in range(6)])
-        return float(np.linalg.norm(at[:3])), float(np.linalg.norm(at[3:]))
-    grid = np.linspace(t_a, t_b, steps + 1)
-    interp = np.stack([np.interp(grid, ts, vals[:, k]) for k in range(6)], axis=1)
-    lin = np.linalg.norm(interp[:, :3], axis=1)
-    ang = np.linalg.norm(interp[:, 3:], axis=1)
-    span = t_b - t_a
-    return (float(np.trapezoid(lin, grid) / span),
-            float(np.trapezoid(ang, grid) / span))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t_a == t_b:
+            at = np.array([np.interp(t_a, ts, vals[:, k]) for k in range(6)])
+            norms = float(np.linalg.norm(at[:3])), float(np.linalg.norm(at[3:]))
+        else:
+            grid = np.linspace(t_a, t_b, steps + 1)
+            interp = np.stack([np.interp(grid, ts, vals[:, k])
+                               for k in range(6)], axis=1)
+            lin = np.linalg.norm(interp[:, :3], axis=1)
+            ang = np.linalg.norm(interp[:, 3:], axis=1)
+            span = t_b - t_a
+            norms = (float(np.trapezoid(lin, grid) / span),
+                     float(np.trapezoid(ang, grid) / span))
+        _check_average(norms, t_a, t_b)
+    return norms
 
 
 def inject_velocity_noise(velocity: VelocitySample, level: float, seed: int,

@@ -6,6 +6,7 @@ in-process on a private buffer; more run, and must pickle, on a cached
 pool of forked workers that share a memfd arena and wait at a barrier."""
 from __future__ import annotations
 
+import atexit
 import ctypes
 import mmap
 import multiprocessing as mp
@@ -192,3 +193,7 @@ def shutdown_pools() -> None:
         for entry in _POOLS.values():
             _close_pool(*entry)
         _POOLS.clear()
+
+
+# Forked workers leave through os._exit, so this runs only in the parent.
+atexit.register(shutdown_pools)

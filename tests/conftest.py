@@ -6,16 +6,18 @@ from evdepth import costvol
 
 
 def _sweep_window(window, intrinsics, velocity, hypotheses, config):
-    """The window's arrays after ``estimate_depth``'s sweep over every
-    hypothesis, run in this process and not yet aggregated: per-scale score
+    """The window's arrays after ``costvol._sweep_task``, the task that
+    ``estimate_depth`` runs, has swept every hypothesis in this process;
+    the aggregate step it returns is dropped, so they hold per-scale score
     volumes ``scores``, then ``iwe`` and ``discarded``."""
     d = len(hypotheses)
     layout, nbytes = costvol._window_layout(d, intrinsics.resolution,
                                             config.num_scales)
-    out = costvol._window_arrays(layout, bytearray(nbytes))
-    costvol._sweep_into(out, window, intrinsics, velocity, hypotheses.depths,
-                        0, d, config, lambda: None)
-    return out
+    buffer = bytearray(nbytes)
+    costvol._sweep_task(layout, window, intrinsics, velocity,
+                        hypotheses.depths, (0, d), (0, 0), config,
+                        costvol.AggregationConfig(), buffer, lambda: None)
+    return costvol._window_arrays(layout, buffer)
 
 
 @pytest.fixture

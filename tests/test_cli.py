@@ -791,6 +791,21 @@ def test_pool_forks_before_the_stream_loads(dataset, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["depth", "ablate"])
+def test_pool_closes_when_the_process_exits(dataset, tmp_path, command):
+    # the command leaves its cached pool running; the process's exit must
+    # close it, or the pool's finalizer warns that it is unclosed
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "evdepth.cli",
+         command, *inputs(dataset), "--out", str(tmp_path / "out"), *FAST,
+         "--threads", "2", *sweep_extra(command, dataset)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["depth", "ablate"])
 @pytest.mark.parametrize("stream", ["missing", "malformed"])
 def test_bad_stream_after_the_pool_forks_is_config_error(
         dataset, tmp_path, capsys, command, stream):
@@ -930,6 +945,39 @@ def test_overflowing_noise_names_the_flag_and_window(dataset, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: {flag} must be small enough that the velocity of {where}"
         f"window 0 gives a finite flow, got 1e+308\n")
+
+
+def test_overflowing_duration_names_the_flag(dataset, tmp_path, capsys):
+    # over 1e308 s the trapezoid of a 1 m/s track overflows
+    rc = main(["simulate", "--scene", str(dataset / "scene.json"),
+               "--camera", str(dataset / "camera.json"),
+               "--track", str(dataset / "track.txt"),
+               "--out", str(tmp_path / "out"), "--duration", "1e308"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --duration must be small enough that velocity track "
+        f"{dataset / 'track.txt'} has a finite average over it, got 1e+308\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, where", [
+    ("depth", ""), ("ablate", "noise 0 trial 0 ")])
+def test_window_too_long_to_average_names_the_stream(dataset, tmp_path,
+                                                     capsys, command, where):
+    # one window from -1e308 s to 1e308 s, whose length is beyond the
+    # float range
+    events = tmp_path / "events.txt"
+    events.write_text("-1e308 10 10 1\n1e308 11 10 0\n")
+    track = dataset / "track.txt"
+    rc = main([command, "--events", str(events),
+               "--camera", str(dataset / "camera.json"), "--track", str(track),
+               "--out", str(tmp_path / "out"), *FAST,
+               *sweep_extra(command, dataset), "--max-interval", "inf"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: velocity track {track} over {where}window 0 of event stream "
+        f"{events}: the velocity average over [-1e+308, 1e+308] is beyond "
+        f"the float range\n")
 
 
 def test_ablate_grades_the_maps_depth_writes(dataset, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +51,8 @@ def text_rows(tokens, width):
 
 NUMBER_TOKENS = st.sampled_from(
     ["0", "1", "-1", "0.01", "0.05", "7", "15", "16", "255", "256", "65536",
-     "nan", "inf", "-inf", "1e400", "1_0", "0x1", "abc", "#", "\x00", "é"])
+     "nan", "inf", "-inf", "1e400", "1e308", "-1e308", "1_0", "0x1", "abc",
+     "#", "\x00", "é"])
 JSON_VALUES = st.recursive(
     st.sampled_from([None, True, False, 0, 1, -1, 2, 4, 2.5, 8, 10, 16, 32,
                      200.0, "plane", "two_plane", "striped", "10", "x",
@@ -151,10 +153,24 @@ def test_valid_inputs_run():
 
 @settings(max_examples=150, deadline=None)
 @given(mutations(EVENTS_TEXT.encode()) | text_rows(NUMBER_TOKENS, 4))
+@example(b"-1e308 10 10 1\n1e308 11 10 0\n")    # their difference overflows
 def test_text_events(data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(Path(tmp), events=data)
         check(load_events, paths["events"], depth_argv(paths, Path(tmp) / "out"))
+
+
+@pytest.mark.parametrize("events, extra", [
+    # two one-event windows, each averaging the velocity at one instant,
+    # whose midpoint must not overflow
+    (b"-1e308 10 10 1\n-1e307 11 10 0\n", []),
+    # one window, whose time bound is past the float range
+    (b"1e308 10 10 1\n1e308 11 10 0\n", ["--max-interval", "1e308"])],
+    ids=["midpoint", "time_bound"])
+def test_timestamps_near_the_float_range_run(events, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = inputs(Path(tmp), events=events)
+        assert run([*depth_argv(paths, Path(tmp) / "out"), *extra]) == (0, "")
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,17 +223,18 @@ def test_scene(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["--noise", "--levels", "--jitter"]),
+@given(st.sampled_from(["--noise", "--levels", "--jitter", "--duration"]),
        st.floats(min_value=0.0, allow_infinity=False))
 @example("--noise", 1e308)        # the noisy velocity's flow overflows
 @example("--levels", 1e308)
 @example("--jitter", 1e30)        # the jitter draw is beyond int64's range
+@example("--duration", 1e308)     # the velocity average overflows
 def test_noise_level(flag, value):
     # any finite level runs or exits 1 or 2 with one error line
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(Path(tmp))
         out = Path(tmp) / "out"
-        if flag == "--jitter":
+        if flag in ("--jitter", "--duration"):
             argv = simulate_argv(paths, out)
         elif flag == "--noise":
             argv = depth_argv(paths, out)
