@@ -158,7 +158,7 @@ def _readout(idx, peak, lo, hi, mean, support_at, inverse, min_support):
 
 
 def _aggregate_band(out, r0: int, r1: int, inverse, agg, weights,
-                    side: int, release) -> None:
+                    side: int, release, populate) -> None:
     """Trend-filter, fuse and read out full-resolution rows ``r0..r1-1`` of
     ``costvol``'s swept window arrays ``out`` in place, under the
     ``AggregationConfig`` ``agg`` and the float64 fusion ``weights``, one
@@ -174,9 +174,12 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg, weights,
     blocks.  The fused curves are stored in place of the sub-band's level
     0, a block at a time; the readout keeps a running winner and the curve
     sum, and then reads the winner's neighbours from the fused curves and
-    support from its IWE.  ``release`` is called twice per sub-band:
-    between the two reads, once its score volumes are done with, and once
-    its maps are written.
+    support from its IWE.  ``populate`` is called on each score level's
+    sub-band before it is first read, so that a pool worker maps exactly
+    those rows of each hypothesis slice: a read would also map, by the
+    kernel's fault-around, the rows of other sub-bands around them.
+    ``release`` is called twice per sub-band: between the two reads, once
+    its score volumes are done with, and once its maps are written.
     """
     d, _, w = out.iwe.shape
     group = 2 ** (len(out.scores) - 1)
@@ -188,6 +191,7 @@ def _aggregate_band(out, r0: int, r1: int, inverse, agg, weights,
         levels, divisors = [], []
         for k, scores in enumerate(out.scores):
             band = scores[:, a >> k:-(-b // 2 ** k)]
+            populate(band)
             divisors.append(_divisor(_trend_filter_inplace(
                 band, agg.trend_iterations, agg.peak_alpha,
                 _block_slices(band.shape[1:]))))

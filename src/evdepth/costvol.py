@@ -207,12 +207,13 @@ def _window_arrays(layout, buffer) -> _WindowArrays:
 
 
 def _sweep_task(layout, window, intrinsics, velocity, depths, hyps, rows,
-                sweep, agg, buffer, release):
+                sweep, agg, buffer, release, populate):
     """A ``run_window`` task: write the per-scale score volumes, the IWE
     and the discarded tally of the hypothesis range ``hyps`` into the
     window's arrays in ``buffer``, calling ``release`` after each
     hypothesis, and return the step that aggregates band ``rows`` under
-    the sweep's scale weights, equal if None."""
+    the sweep's scale weights, equal if None, with ``release`` and
+    ``populate``."""
     out = _window_arrays(layout, buffer)
     warp = EventWarp(window, intrinsics, velocity)
     for j in range(*hyps):
@@ -227,7 +228,7 @@ def _sweep_task(layout, window, intrinsics, velocity, depths, hyps, rows,
     weights = (np.ones(sweep.num_scales) if sweep.scale_weights is None
                else np.asarray(sweep.scale_weights, dtype=np.float64))
     return partial(_aggregate_band, out, *rows, 1.0 / depths, agg, weights,
-                   sweep.focus.window_radius, release)
+                   sweep.focus.window_radius, release, populate)
 
 
 def _split(n: int, parts: int) -> list[tuple[int, int]]:

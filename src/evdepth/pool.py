@@ -1,9 +1,12 @@
 """Runs a window as one task per worker.  A task, called on the window's
-buffer and a release callable, sweeps, calls release whenever it is done
-with the pages it has touched so far, and returns the step that
-aggregates, which runs once every task has swept.  One task runs
-in-process on a private buffer; more run, and must pickle, on a cached
-pool of forked workers that share a memfd arena and wait at a barrier."""
+buffer, a release callable and a populate callable, sweeps, calls release
+whenever it is done with the pages it has touched so far, and returns the
+step that aggregates, which runs once every task has swept.  Populate,
+called on a view of the buffer before the step first reads it, maps the
+view's pages and no others.  One task runs in-process on a private
+buffer, where both callables do nothing; more run, and must pickle, on a
+cached pool of forked workers that share a memfd arena and wait at a
+barrier."""
 from __future__ import annotations
 
 import atexit
@@ -12,7 +15,7 @@ import mmap
 import multiprocessing as mp
 import os
 import threading
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -27,10 +30,14 @@ _POOL_LOCK = threading.Lock()
 _worker_arena: mmap.mmap | None = None
 _worker_barrier = None
 # A worker whose arena takes at least this many bytes drops its mapping of
-# it whenever its task releases it.  Below it the pages saved are few
-# (0.1 MiB per worker for a 64x64 sensor at 32 hypotheses) and faulting
-# them back in costs more.
+# it whenever its task releases it, and maps only what its task populates.
+# Below it the pages saved are few (0.1 MiB per worker for a 64x64 sensor
+# at 32 hypotheses) and faulting them back in costs more.
 _DROP_BYTES = 8 << 20
+# madvise's advice to fault pages in writable, as a write would, without
+# changing their data (Linux 5.14).  A read fault on the arena also maps,
+# by the kernel's fault-around, up to 64 KiB of the pages around it.
+_MADV_POPULATE_WRITE = 23
 # Each freed mmapped chunk of up to 32 MiB raises glibc malloc's mmap
 # threshold to its size, and its trim threshold to twice that, so a
 # process that has freed large arrays keeps later buffers on the heap.
@@ -45,6 +52,12 @@ _TRIM_THRESHOLD = 32 << 20
 _LIVENESS_S = 0.1
 
 
+@cache
+def _libc() -> ctypes.CDLL:
+    """This process's C library, loaded at its first use."""
+    return ctypes.CDLL(None)
+
+
 def _attach(arena: mmap.mmap, barrier) -> None:
     """Pool initializer: keep the arena's mapping, inherited at the fork,
     and the barrier, and pin malloc's thresholds where libc has
@@ -52,7 +65,7 @@ def _attach(arena: mmap.mmap, barrier) -> None:
     whose initializer raises, and each would print its traceback."""
     global _worker_arena, _worker_barrier
     _worker_arena, _worker_barrier = arena, barrier
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    mallopt = getattr(_libc(), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt.restype = ctypes.c_int
@@ -67,6 +80,28 @@ def _drop_mapping(arena: mmap.mmap) -> None:
         arena.madvise(mmap.MADV_DONTNEED)
 
 
+def _madvise(address: int, length: int, advice: int) -> int:
+    """libc's ``madvise``: 0, or -1 where it fails."""
+    return _libc().madvise(ctypes.c_void_p(address), ctypes.c_size_t(length),
+                           advice)
+
+
+def _populate(arena: mmap.mmap, view: np.ndarray) -> None:
+    """Map, writable, the pages that hold each slice ``view[i]`` of
+    ``view``, an array over ``arena`` whose slices are each contiguous, and
+    no other page, if the arena is large; their data stays.  Where the
+    kernel rejects the advice (before Linux 5.14), the pages fault in as
+    they are read."""
+    if len(arena) < _DROP_BYTES:
+        return
+    base, size = view.ctypes.data, view[0].nbytes
+    for i in range(len(view)):
+        start = base + i * view.strides[0]
+        first = start - start % mmap.PAGESIZE
+        if _madvise(first, start + size - first, _MADV_POPULATE_WRITE):
+            return
+
+
 def _map_arena(fd: int, nbytes: int) -> mmap.mmap:
     """Map ``nbytes`` of the arena ``fd``, or of fresh memory for fd -1; a
     failed map is a ``MemoryError``."""
@@ -78,12 +113,14 @@ def _map_arena(fd: int, nbytes: int) -> mmap.mmap:
 
 
 def _window_task(sweep) -> None:
-    """Worker side: sweep by calling the task on the arena and a release of
-    its mapping; then, once every worker has swept, call the aggregate step
-    it returned.  A worker whose sweep fails breaks the barrier, so none
-    waits for it, and only its error reaches the parent."""
+    """Worker side: sweep by calling the task on the arena, a release of
+    its mapping and a populate of its pages; then, once every worker has
+    swept, call the aggregate step it returned.  A worker whose sweep fails
+    breaks the barrier, so none waits for it, and only its error reaches
+    the parent."""
     try:
-        aggregate = sweep(_worker_arena, partial(_drop_mapping, _worker_arena))
+        aggregate = sweep(_worker_arena, partial(_drop_mapping, _worker_arena),
+                          partial(_populate, _worker_arena))
     except BaseException:
         _worker_barrier.abort()
         raise
@@ -161,9 +198,10 @@ def run_window(nbytes: int, tasks, read):
     during which a worker dies, closes the pool, so the next call forks a
     fresh pool and barrier."""
     if len(tasks) == 1:
-        # releasing private memory would zero it, so release does nothing
+        # releasing private memory would zero it, so release does nothing,
+        # and so does populate, as the process keeps every page it maps
         buffer = memoryview(np.empty(nbytes, np.uint8))
-        tasks[0](buffer, lambda: None)()
+        tasks[0](buffer, lambda: None, lambda view: None)()
         return read(partial(_read_buffer, buffer))
     workers = len(tasks)
     with _POOL_LOCK:

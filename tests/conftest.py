@@ -16,7 +16,8 @@ def _sweep_window(window, intrinsics, velocity, hypotheses, config):
     buffer = bytearray(nbytes)
     costvol._sweep_task(layout, window, intrinsics, velocity,
                         hypotheses.depths, (0, d), (0, 0), config,
-                        costvol.AggregationConfig(), buffer, lambda: None)
+                        costvol.AggregationConfig(), buffer, lambda: None,
+                        lambda view: None)
     return costvol._window_arrays(layout, buffer)
 
 

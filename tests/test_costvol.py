@@ -2,6 +2,7 @@
 and the sweep pipeline."""
 
 import gc
+import mmap
 import multiprocessing
 import os
 import platform
@@ -11,8 +12,8 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -71,8 +72,9 @@ def fuse(levels, scale_weights=None):
     return fused
 
 
-def keep():
-    """The release of a window's buffer in this process, which keeps it."""
+def keep(*views):
+    """The release, or populate, of a window's buffer in this process,
+    which keeps every page it maps."""
 
 
 def read_out(curves, iwe, min_support=0.5):
@@ -87,7 +89,7 @@ def read_out(curves, iwe, min_support=0.5):
     out.iwe[:] = iwe
     aggregate._aggregate_band(out, 0, h, HYP5.inverse, AggregationConfig(
         trend_iterations=0, peak_alpha=0.0, min_support=min_support),
-        np.ones(1), 1, keep)
+        np.ones(1), 1, keep, keep)
     flags = np.where(out.depth == DEPTH_SENTINEL, FLAG_INVALID,
                      FLAG_MEASURED).astype(np.uint8)
     return DepthMap(depth=out.depth, confidence=out.confidence, flags=flags)
@@ -806,25 +808,113 @@ class TestEstimateDepthBands:
         # each worker logs its mapped arena pages as it drops them: after
         # every hypothesis it sweeps, and before each sub-band's support
         # gather and after its maps, so it never maps much more than one
-        # sub-band of the score volumes; here each band is one sub-band
+        # sub-band of the score volumes; here each band is one sub-band,
+        # 33 and 32 row groups, and where the kernel populates, a worker
+        # maps no more than its score rows, whole pages per hypothesis
+        # slice plus one
         records, nbytes = logged_drops(monkeypatch, tmp_path)
-        drops = Counter(pid for pid, _ in records)
-        assert len(drops) == 2
-        assert min(drops.values()) >= 8       # each swept 8 hypotheses
-        assert max(int(kib) for _, kib in records) * 1024 < 0.55 * nbytes
+        assert sorted(map(len, records.values())) == [8 + 2, 8 + 2]
+        for logged in records.values():
+            assert max(held for held, _ in logged) < 0.55 * nbytes
+        if populates():
+            peaks = sorted(max(mapped for _, mapped in logged)
+                           for logged in records.values())
+            bounds = sorted(score_rows_bound(a, b)
+                            for a, b in ((0, 132), (132, 260)))
+            assert all(peak <= bound for peak, bound in zip(peaks, bounds))
 
     def test_workers_map_one_sub_band_at_a_time(self, monkeypatch, tmp_path):
         # sub-bands of one 4-row group: the workers' bands are 33 and 32
         # groups, each worker releases once per hypothesis it sweeps and
-        # twice per sub-band, and no more, and it maps a small share of its
-        # band at any time
+        # twice per sub-band, and no more; it maps a small share of its
+        # band at any time, and where the kernel populates, before each
+        # support gather it maps no more than the sub-band's score rows
         monkeypatch.setattr(aggregate, "_BAND_BYTES", 1)
         records, nbytes = logged_drops(monkeypatch, tmp_path)
-        drops = Counter(pid for pid, _ in records)
-        assert sorted(drops.values()) == [8 + 2 * 32, 8 + 2 * 33]
-        for pid in drops:
-            assert max(int(kib) for p, kib in records
-                       if p == pid) * 1024 < 0.25 * nbytes
+        assert sorted(map(len, records.values())) == [8 + 2 * 32, 8 + 2 * 33]
+        for logged in records.values():
+            assert max(held for held, _ in logged) < 0.25 * nbytes
+            if populates():
+                # every 4-row group has 4, 2 and 1 rows at the three levels
+                assert (max(mapped for _, mapped in logged[8::2])
+                        <= score_rows_bound(0, 4))
+
+    def test_populate_maps_only_the_slices_of_its_view(self, monkeypatch):
+        # a (D, rows, W) view of a memfd mapping, written and then dropped:
+        # populating it maps each slice's own pages, and no others, where a
+        # read maps, by fault-around, the pages around each slice too
+        if rss_shmem_kib() is None:
+            pytest.skip("no RssShmem in /proc/self/status")
+        if not populates():
+            pytest.skip("the kernel rejects MADV_POPULATE_WRITE")
+        monkeypatch.setattr(pool, "_DROP_BYTES", 0)
+        d, h, w, page = 16, 100, 300, mmap.PAGESIZE
+        fd = os.memfd_create("populate-test")
+        try:
+            os.ftruncate(fd, d * h * w * 8)
+            arena = mmap.mmap(fd, d * h * w * 8)
+        finally:
+            os.close(fd)
+        volume = np.frombuffer(arena, np.float64).reshape(d, h, w)
+        # unaligned rows: 7,200 bytes per slice, 240,000 bytes apart
+        view = volume[:, 40:43]
+        try:
+            volume[:] = np.arange(volume.size).reshape(volume.shape)
+            bound = d * (-(-view[0].nbytes // page) + 1) * page
+            grown = []
+            for touch in (partial(pool._populate, arena), np.sum):
+                arena.madvise(mmap.MADV_DONTNEED)
+                before = rss_shmem_kib()
+                touch(view)
+                grown.append((rss_shmem_kib() - before) * 1024)
+            populated, read = grown
+            assert 0 < populated <= bound < read
+            assert np.array_equal(volume.reshape(-1), np.arange(volume.size))
+        finally:
+            del volume, view
+            arena.close()
+
+    def test_rejected_populate_falls_back_to_faults(self, monkeypatch,
+                                                    tmp_path, capfd):
+        # as on a kernel before Linux 5.14, madvise rejects the advice with
+        # EINVAL: each worker then faults the pages in as it reads them, and
+        # 2 workers still give 1 worker's window, with no warning
+        log = tmp_path / "advice.txt"
+
+        def einval(address, length, advice):
+            with open(log, "a") as fh:
+                fh.write(f"{advice}\n")
+            return -1
+
+        shutdown_pools()              # the pools fork with the failing call
+        monkeypatch.setattr(pool, "_madvise", einval)
+        monkeypatch.setattr(pool, "_DROP_BYTES", 0)
+        intr = CameraIntrinsics(f=150.0, cu=50.0, cv=40.0, width=100,
+                                height=80)
+        window = sensor_window(intr, seed=4, n=5_000)
+        vel = VelocitySample(t=0.0, linear=(0.8, -0.2, 0.3),
+                             angular=(0.0, 0.01, 0.0))
+        hyp = inverse_depth_hypotheses(2.0, 10.0, 12)
+        sweep = SweepConfig(num_scales=3, focus=FocusConfig(window_radius=3))
+        try:
+            one = estimate_depth(window, intr, vel, hyp, sweep)
+            two = estimate_depth(window, intr, vel, hyp,
+                                 replace(sweep, workers=2))
+        finally:
+            shutdown_pools()
+        # each worker tried once per level of its one sub-band
+        assert log.read_text().split() == [str(pool._MADV_POPULATE_WRITE)] * 6
+        (got, got_summary), (want, summary) = two, one
+        for name in ("depth", "confidence", "flags"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("winner", "discarded"):
+            assert np.array_equal(getattr(got_summary, name),
+                                  getattr(summary, name))
+        assert list(got_summary.curves) == list(summary.curves)
+        assert len(summary.curves) == 8
+        for pixel, curve in summary.curves.items():
+            assert np.array_equal(got_summary.curves[pixel], curve)
+        assert capfd.readouterr().err == ""
 
     def test_pools_leak_no_fd(self, monkeypatch):
         def open_fds():
@@ -909,17 +999,20 @@ finally:
 
 def logged_drops(monkeypatch, tmp_path):
     """Run a 346x260 window at 16 hypotheses and 3 scales on 2 workers
-    that drop their mappings at every release; returns the (pid, RssShmem
-    KiB) each worker logged as it dropped, and the window's arena bytes."""
+    that drop their mappings at every release; returns, by pid in the
+    order of the drops, each worker's (RssShmem just before the drop, the
+    arena bytes it had mapped: that RssShmem less RssShmem just after the
+    drop), and the window's arena bytes."""
     if rss_shmem_kib() is None:
         pytest.skip("no RssShmem in /proc/self/status")
     log = tmp_path / "drops.txt"
     drop = pool._drop_mapping
 
     def logged_drop(arena):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {rss_shmem_kib()}\n")
+        before = rss_shmem_kib()
         drop(arena)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {before} {rss_shmem_kib()}\n")
 
     shutdown_pools()              # the pools fork with the logged drop
     monkeypatch.setattr(pool, "_drop_mapping", logged_drop)
@@ -937,7 +1030,33 @@ def logged_drops(monkeypatch, tmp_path):
         estimate_depth(window, intr, vel, hyp, sweep)
     finally:
         shutdown_pools()
-    return [line.split() for line in log.read_text().splitlines()], nbytes
+    records = {}
+    for line in log.read_text().splitlines():
+        pid, before, after = line.split()
+        records.setdefault(pid, []).append(
+            (int(before) * 1024, (int(before) - int(after)) * 1024))
+    return records, nbytes
+
+
+def score_rows_bound(r0, r1):
+    """The most arena bytes that mapping rows ``r0..r1-1`` of each of
+    ``logged_drops``' 16 hypothesis slices of its 3 score levels takes:
+    each slice's bytes in whole pages, plus one page for its alignment."""
+    page, total = mmap.PAGESIZE, 0
+    for k in range(3):
+        rows = -(-r1 // 2 ** k) - (r0 >> k)
+        row_bytes = -(-346 // 2 ** k) * 8
+        total += 16 * (-(-rows * row_bytes // page) + 1) * page
+    return total
+
+
+def populates():
+    """Whether the kernel takes ``pool``'s advice to populate a mapping
+    (MADV_POPULATE_WRITE, Linux 5.14 and later)."""
+    buffer = np.zeros(2 * mmap.PAGESIZE, np.uint8)
+    first = -(-buffer.ctypes.data // mmap.PAGESIZE) * mmap.PAGESIZE
+    return pool._madvise(first, mmap.PAGESIZE,
+                         pool._MADV_POPULATE_WRITE) == 0
 
 
 def rss_shmem_kib():
@@ -1108,7 +1227,7 @@ def test_support_is_the_box_sum_of_the_winners_iwe(sweep_window, side):
     # at the pipeline's own winners, support decides the flags
     aggregate._aggregate_band(out, 0, h, hyp.inverse,
                               AggregationConfig(min_support=0.3), np.ones(1),
-                              side, keep)
+                              side, keep, keep)
     support = at(box, out.winner)
     if side < 15:
         assert 0 < (support >= 0.3).sum() < h * w
@@ -1156,5 +1275,5 @@ def test_readout_leaves_the_fused_curves_in_level_0(monkeypatch, sweep_window,
                             for s in out.scores], weights)
         for r0, r1 in bands:
             aggregate._aggregate_band(out, r0, r1, hyp.inverse, agg, weights,
-                                      3, keep)
+                                      3, keep, keep)
         assert out.scores[0].tobytes() == want.tobytes()
